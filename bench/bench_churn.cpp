@@ -1,21 +1,21 @@
 // Churn bench (DESIGN.md §13): sustained task-update throughput through
 // the delta replanning path — TaskManager mutations stream in as exact
-// TaskDeltas, the DeltaTracker coalesces them, and AdaptivePlanner::flush
-// replans over the burst. A non-incremental ADAPTIVE reference applies
-// the full deduplicated pair set at the very same flush epochs, proving
-// the delta path bit-identical (same collected pairs) while skipping the
-// full-set diff per replan.
+// TaskDeltas, merge into one pending delta (TaskDelta::merge, as the
+// MonitoringSystem facade batches churn between reads), and
+// AdaptivePlanner::apply_delta replans over the merged burst. A
+// non-incremental ADAPTIVE reference applies the full deduplicated pair
+// set at the very same replan epochs, proving the delta path
+// bit-identical (same collected pairs) while skipping the full-set diff
+// per replan.
 //
 // Determinism contract (the perf_smoke gate matches `collected` exactly):
-// the tracker runs with the amortized cost estimate disabled
-// (staleness_cost_per_pair_second = 0) so the flush cadence depends only
-// on the synthetic epoch clock — wall time is measured but never feeds a
-// decision. Timing columns are machine-dependent and gated with slack;
-// everything else is bit-reproducible.
+// the replan cadence depends only on the synthetic epoch clock — wall
+// time is measured but never feeds a decision. Timing columns are
+// machine-dependent and gated with slack; everything else is
+// bit-reproducible.
 #include "bench/bench_support.h"
 
 #include <chrono>
-#include <limits>
 
 #include "adapt/adaptive_planner.h"
 #include "planner/topology.h"
@@ -26,26 +26,27 @@ namespace {
 constexpr CostModel kCost{10.0, 1.0};
 constexpr std::size_t kUniverse = 24;
 constexpr std::size_t kBatches = 96;
-// Hard age bound in synthetic epochs (one epoch per batch): every flush
-// coalesces this many churn batches. Sustained throughput is the whole
-// point here, so bursts are large and the local search runs on the quick
-// budget below — quality is pinned by the collected column and the
-// bit-identity check, not by search depth.
-constexpr double kFlushEveryEpochs = 32.0;
+// Replan window in synthetic epochs (one epoch per batch): a window opens
+// at the first batch that leaves a non-empty pending delta, and the
+// merged delta is applied once this many epochs have passed. Sustained
+// throughput is the whole point here, so bursts are large and the local
+// search runs on the quick budget below — quality is pinned by the
+// collected column and the bit-identity check, not by search depth.
+constexpr double kReplanEveryEpochs = 32.0;
 constexpr std::size_t kMaxCandidates = 8;
 constexpr std::size_t kMaxIterations = 32;
 
 struct ChurnResult {
   std::size_t updates = 0;        // task modifications processed
-  std::size_t replans = 0;        // tracker flushes (incl. final drain)
-  std::size_t pairs_changed = 0;  // Σ |coalesced delta| over replans
+  std::size_t replans = 0;        // delta replans (incl. final drain)
+  std::size_t pairs_changed = 0;  // Σ |merged delta| over replans
   double churn_seconds = 0.0;     // manager mutation (shared by both paths)
-  double incr_seconds = 0.0;      // enqueue + flush decisions + delta replans
+  double incr_seconds = 0.0;      // delta merges + window checks + delta replans
   double ref_seconds = 0.0;       // dedup + full-diff apply_update replans
   double naive_seconds = 0.0;     // per-batch full-diff replans (no coalescing)
   std::size_t naive_replans = 0;  // one per batch, by construction
   std::size_t collected = 0;      // collected pairs at end (delta path)
-  bool identical = true;          // delta vs reference, at every flush
+  bool identical = true;          // delta vs reference, at every replan
   obs::Histogram::Snapshot latency;  // planner.delta.replan_seconds
 };
 
@@ -90,11 +91,7 @@ ChurnResult run_churn(std::size_t nodes) {
   incr_options.max_candidates = kMaxCandidates;
   incr_options.max_iterations = kMaxIterations;
   incr_options.metrics = &incr_registry;
-  DeltaTrackerOptions tracker;
-  tracker.max_defer_seconds = kFlushEveryEpochs;
-  tracker.max_pending_pairs = std::numeric_limits<std::size_t>::max();
-  tracker.staleness_cost_per_pair_second = 0.0;  // deterministic cadence
-  AdaptivePlanner incr(system, incr_options, AdaptScheme::kAdaptive, tracker);
+  AdaptivePlanner incr(system, incr_options, AdaptScheme::kAdaptive);
 
   obs::Registry ref_registry;
   PlannerOptions ref_options = incr_options;
@@ -117,9 +114,12 @@ ChurnResult run_churn(std::size_t nodes) {
 
   ChurnResult out;
   Rng churn{17};
+  TaskDelta pending;
+  double window_opened = 0.0;
   const auto replan_both = [&](double now) {
     auto t0 = std::chrono::steady_clock::now();
-    const AdaptReport report = incr.flush(now);
+    const AdaptReport report = incr.apply_delta(pending, now);
+    pending = TaskDelta{};
     out.incr_seconds += since(t0);
     ++out.replans;
     out.pairs_changed += report.pairs_changed;
@@ -141,10 +141,12 @@ ChurnResult run_churn(std::size_t nodes) {
     out.updates += stats.tasks_modified;
 
     t0 = std::chrono::steady_clock::now();
-    incr.enqueue_delta(stats.delta, now);
-    const bool flush = incr.should_flush(now);
+    if (pending.pairs.empty()) window_opened = now;
+    pending.merge(stats.delta);
+    const bool replan =
+        !pending.pairs.empty() && now - window_opened >= kReplanEveryEpochs;
     out.incr_seconds += since(t0);
-    if (flush) replan_both(now);
+    if (replan) replan_both(now);
 
     t0 = std::chrono::steady_clock::now();
     naive.apply_update(manager.dedup(system.num_vertices()), now);
@@ -152,7 +154,7 @@ ChurnResult run_churn(std::size_t nodes) {
     ++out.naive_replans;
   }
   // Drain the tail so both planners end on the full churn stream.
-  if (incr.has_pending()) replan_both(static_cast<double>(kBatches + 1));
+  if (!pending.pairs.empty()) replan_both(static_cast<double>(kBatches + 1));
 
   out.collected = incr.topology().collected_pairs();
   out.latency = incr_registry
@@ -178,7 +180,7 @@ int main(int argc, char** argv) {
   results.reserve(sizes.size());
   for (std::size_t n : sizes) results.push_back(run_churn(n));
 
-  subbanner("incremental churn replanning (delta enqueue/flush path)");
+  subbanner("incremental churn replanning (merged-delta apply path)");
   {
     remo::Table t({"nodes", "batches", "updates", "replans", "us/update",
                    "updates/sec", "collected", "identical"});
@@ -234,9 +236,10 @@ int main(int argc, char** argv) {
     emit(t);
     std::printf(
         "(naive = dedup + full-set diff + replan after every batch, the\n"
-        "pre-delta cadence; the delta path coalesces bursts per the Sec. 4.2\n"
-        "bound and replans per burst. Bit-identity is checked against a\n"
-        "same-epoch reference, so the speedup buys zero planning drift)\n");
+        "pre-delta cadence; the delta path merges each %.0f-epoch burst and\n"
+        "replans once per burst. Bit-identity is checked against a\n"
+        "same-epoch reference, so the speedup buys zero planning drift)\n",
+        kReplanEveryEpochs);
   }
   return 0;
 }

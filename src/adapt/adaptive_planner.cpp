@@ -48,15 +48,10 @@ const char* to_string(AdaptScheme s) noexcept {
 }
 
 AdaptivePlanner::AdaptivePlanner(const SystemModel& system, PlannerOptions options,
-                                 AdaptScheme scheme,
-                                 DeltaTrackerOptions tracker_options)
-    : system_(&system),
-      planner_(system, std::move(options)),
-      scheme_(scheme),
-      tracker_(tracker_options) {
+                                 AdaptScheme scheme)
+    : system_(&system), planner_(system, std::move(options)), scheme_(scheme) {
   obs::Registry& reg = obs::registry_or_global(planner_.options().metrics);
   metrics_.updates = &reg.counter("planner.delta.updates");
-  metrics_.coalesced = &reg.counter("planner.delta.updates_coalesced");
   metrics_.replans = &reg.counter("planner.delta.replans");
   metrics_.pairs_changed = &reg.counter("planner.delta.pairs_changed");
   metrics_.replan_seconds =
@@ -102,13 +97,12 @@ void AdaptivePlanner::adopt(Topology topo, double now) {
 
 void AdaptivePlanner::restore(PairSet pairs, Topology topo,
                               std::map<std::vector<AttrId>, double> stamps,
-                              double init_time, double replan_cost_estimate) {
+                              double init_time) {
   pairs_ = std::move(pairs);
   topology_ = std::move(topo);
   topology_.set_total_pairs(pairs_.total_pairs());
   adjusted_at_ = std::move(stamps);
   init_time_ = init_time;
-  tracker_.set_replan_cost_estimate(replan_cost_estimate);
   // The evaluation engine's pair view resyncs in full on the next
   // adaptation (synced_pairs() is null on a fresh planner); memo-cache
   // hits are bit-identical to fresh builds, so a cold cache cannot make a
@@ -368,12 +362,10 @@ void AdaptivePlanner::optimize(const PairSet& pairs,
   }
 }
 
-AdaptReport AdaptivePlanner::run_adaptation(const PairSetDelta& delta, double now,
-                                            std::size_t updates_coalesced) {
+AdaptReport AdaptivePlanner::run_adaptation(const PairSetDelta& delta, double now) {
   const auto start = std::chrono::steady_clock::now();
   const double cpu_start = cpu_seconds_now();
   AdaptReport report;
-  report.updates_coalesced = updates_coalesced;
   report.pairs_changed = delta.size();
   const Topology before = topology_;
   EvalStats stats_base = planner_.last_stats();
@@ -430,7 +422,6 @@ AdaptReport AdaptivePlanner::run_adaptation(const PairSetDelta& delta, double no
     metrics_.replans->add(1);
     metrics_.pairs_changed->add(delta.size());
     metrics_.replan_seconds->observe(report.planning_wall_seconds);
-    tracker_.observe_replan_cost(report.planning_wall_seconds);
   }
   return report;
 }
@@ -439,35 +430,14 @@ AdaptReport AdaptivePlanner::apply_update(const PairSet& new_pairs, double now) 
   metrics_.updates->add(1);
   PairSetDelta delta = diff(pairs_, new_pairs);
   pairs_ = new_pairs;
-  return run_adaptation(delta, now, delta.empty() ? 0 : 1);
+  return run_adaptation(delta, now);
 }
 
 AdaptReport AdaptivePlanner::apply_delta(const TaskDelta& delta, double now) {
   metrics_.updates->add(1);
   PairSetDelta scoped = clamp_to_vertices(delta.pairs, pairs_.num_vertices());
   ::remo::apply_delta(pairs_, scoped);  // the free pair-set helper, not this method
-  return run_adaptation(scoped, now, scoped.empty() ? 0 : 1);
-}
-
-void AdaptivePlanner::enqueue_delta(const TaskDelta& delta, double now) {
-  metrics_.updates->add(1);
-  if (has_pending()) metrics_.coalesced->add(1);
-  TaskDelta scoped;
-  scoped.pairs = clamp_to_vertices(delta.pairs, pairs_.num_vertices());
-  scoped.tasks_touched = delta.tasks_touched;
-  tracker_.enqueue(scoped, now);
-}
-
-AdaptReport AdaptivePlanner::flush(double now) {
-  if (!has_pending()) {
-    AdaptReport report;
-    report.score = score_of(topology_);
-    return report;
-  }
-  const std::size_t burst = tracker_.coalesced_updates();
-  const TaskDelta pending = tracker_.take(now);
-  ::remo::apply_delta(pairs_, pending.pairs);
-  return run_adaptation(pending.pairs, now, burst);
+  return run_adaptation(scoped, now);
 }
 
 }  // namespace remo

@@ -19,16 +19,16 @@
 // Delta replanning (DESIGN.md §13): besides the historic full-pair-set
 // apply_update, the planner accepts structured TaskDeltas — apply_delta
 // runs the identical adaptation core seeded straight from the delta (no
-// full-set diff, no pair-set copy), and enqueue_delta/should_flush/flush
-// coalesce bursts through a DeltaTracker so replans amortize under
-// sustained churn. Both entry points share run_adaptation, so delta-driven
-// plans are bit-identical to full-pair-set plans on the same sequence.
+// full-set diff, no pair-set copy). Callers batch churn by merging deltas
+// (TaskDelta::merge) and applying the merged delta once; the
+// MonitoringSystem facade does this at its next read. Both entry points
+// share run_adaptation, so delta-driven plans are bit-identical to
+// full-pair-set plans on the same sequence.
 #pragma once
 
 #include <map>
 #include <vector>
 
-#include "adapt/delta_tracker.h"
 #include "obs/metrics.h"
 #include "planner/planner.h"
 #include "task/task_delta.h"
@@ -55,10 +55,7 @@ struct AdaptReport {
   /// concurrency. (The historic `planning_seconds` field claimed CPU but
   /// measured wall clock; it is split into these two.)
   double planning_cpu_seconds = 0.0;
-  /// Task-churn updates this report covers: 1 for a direct apply_update /
-  /// apply_delta, the burst size for a coalesced flush(), 0 for a no-op.
-  std::size_t updates_coalesced = 0;
-  /// Pairs added + removed by the (coalesced) delta this call applied.
+  /// Pairs added + removed by the (merged) delta this call applied.
   std::size_t pairs_changed = 0;
   /// Control messages needed to morph the deployed topology into the new
   /// one (multiset edge diff) — M_adapt.
@@ -78,7 +75,7 @@ struct AdaptReport {
 class AdaptivePlanner {
  public:
   AdaptivePlanner(const SystemModel& system, PlannerOptions options,
-                  AdaptScheme scheme, DeltaTrackerOptions tracker_options = {});
+                  AdaptScheme scheme);
 
   const Topology& topology() const noexcept { return topology_; }
   AdaptScheme scheme() const noexcept { return scheme_; }
@@ -97,17 +94,6 @@ class AdaptivePlanner {
   /// O(|pairs|) overhead outside the search itself.
   AdaptReport apply_delta(const TaskDelta& delta, double now);
 
-  /// Burst-coalescing churn path: enqueue deltas as they arrive, replan
-  /// only when the tracker's amortized Sec. 4.2-style bound says deferral
-  /// stopped being cheaper (or at a forced flush).
-  void enqueue_delta(const TaskDelta& delta, double now);
-  bool has_pending() const noexcept { return !tracker_.empty(); }
-  bool should_flush(double now) const { return tracker_.should_flush(now); }
-  /// Replans over the coalesced pending delta (no-op report when nothing
-  /// is pending).
-  AdaptReport flush(double now);
-  const DeltaTracker& tracker() const noexcept { return tracker_; }
-
   /// Replaces the deployed topology in place — the self-healing repair
   /// path (adapt/repair.h): subsequent apply_update calls adapt from the
   /// repaired forest. Trees whose attribute set is new to the throttle
@@ -122,19 +108,16 @@ class AdaptivePlanner {
   }
   double init_time() const noexcept { return init_time_; }
   /// Wholesale-replaces the planner's plan state with a previously
-  /// captured one: pair set, deployed forest, throttle stamps, and the
-  /// tracker's replan-cost EWMA. The planner must be freshly constructed
-  /// (same system + options as the captured one); subsequent
-  /// apply_update / apply_delta calls continue bit-identically to the
-  /// planner the state was captured from.
+  /// captured one: pair set, deployed forest and throttle stamps. The
+  /// planner must be freshly constructed (same system + options as the
+  /// captured one); subsequent apply_update / apply_delta calls continue
+  /// bit-identically to the planner the state was captured from.
   void restore(PairSet pairs, Topology topo,
-               std::map<std::vector<AttrId>, double> stamps, double init_time,
-               double replan_cost_estimate);
+               std::map<std::vector<AttrId>, double> stamps, double init_time);
 
  private:
   struct DeltaMetrics {
     obs::Counter* updates = nullptr;        ///< deltas fed in
-    obs::Counter* coalesced = nullptr;      ///< deltas merged into a pending burst
     obs::Counter* replans = nullptr;        ///< non-empty adaptation runs
     obs::Counter* pairs_changed = nullptr;  ///< Σ |delta| over replans
     obs::Histogram* replan_seconds = nullptr;  ///< wall latency per replan
@@ -143,8 +126,7 @@ class AdaptivePlanner {
   /// Shared adaptation core: `delta` is the exact change that advanced
   /// pairs_ (already applied); runs the scheme, refreshes accounting, and
   /// emits the report + planner.delta.* telemetry.
-  AdaptReport run_adaptation(const PairSetDelta& delta, double now,
-                             std::size_t updates_coalesced);
+  AdaptReport run_adaptation(const PairSetDelta& delta, double now);
 
   /// DIRECT-APPLY base step: rebuild exactly the trees whose attribute
   /// sets intersect the update, keeping the partition otherwise. Returns
@@ -168,7 +150,6 @@ class AdaptivePlanner {
   /// (T_adj,i in the throttle formula).
   std::map<std::vector<AttrId>, double> adjusted_at_;
   double init_time_ = 0.0;
-  DeltaTracker tracker_;
   DeltaMetrics metrics_;
 };
 

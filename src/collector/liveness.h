@@ -66,7 +66,7 @@ class LivenessTracker {
   /// deliveries, not deadlines.
   void restart_deadlines(std::uint64_t epoch);
 
-  /// Feed one collector arrival (call alongside TimeSeriesStore::record).
+  /// Feed one collector arrival (e.g. from SimConfig::on_delivery).
   /// A delivery from a suspected node queues a recovery event for the next
   /// end_epoch().
   void on_delivery(NodeAttrPair pair, std::uint64_t epoch);

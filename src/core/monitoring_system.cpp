@@ -419,7 +419,6 @@ MonitoringSystem::PlannerState MonitoringSystem::planner_state(double now) {
   state.topology = planner_->topology();
   state.adjustment_stamps = planner_->adjustment_stamps();
   state.init_time = planner_->init_time();
-  state.replan_cost_estimate = planner_->tracker().replan_cost_estimate();
   state.constraint_signature = constraint_signature_;
   return state;
 }
@@ -453,8 +452,7 @@ void MonitoringSystem::restore_planner(PlannerState state) {
   planner_.emplace(refresh_planning_system(), rebuilt.planner_options,
                    options_.adaptation);
   planner_->restore(std::move(pairs), std::move(state.topology),
-                    std::move(state.adjustment_stamps), state.init_time,
-                    state.replan_cost_estimate);
+                    std::move(state.adjustment_stamps), state.init_time);
   constraint_signature_ = rebuilt.signature;
   pending_delta_ = TaskDelta{};
   delta_dirty_ = false;

@@ -220,7 +220,6 @@ class MonitoringSystem {
     Topology topology;
     std::map<std::vector<AttrId>, double> adjustment_stamps;
     double init_time = 0.0;
-    double replan_cost_estimate = 0.0;
     std::string constraint_signature;
   };
   /// Captures the current plan state (replanning first if dirty, so the

@@ -12,6 +12,11 @@ namespace remo {
 
 namespace {
 
+// Candidates per pool task (for_each_blocked): each task scores one
+// contiguous rank-block with task-local scratch reused across the block.
+// Dispatch shape only — scores commit in rank order whatever the block.
+constexpr std::size_t kCandidateBlockSize = 4;
+
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
@@ -145,7 +150,7 @@ PlanScore PlanEvaluator::score_candidate(const Topology& base, const Partition& 
 
 void PlanEvaluator::for_each_blocked(
     std::size_t n, const std::function<void(std::size_t, RebuildScratch&)>& fn) {
-  const std::size_t block = std::max<std::size_t>(options_.candidate_block_size, 1);
+  const std::size_t block = kCandidateBlockSize;
   const std::size_t num_blocks = (n + block - 1) / block;
   if (num_threads() <= 1 || num_blocks <= 1) {
     RebuildScratch scratch;
@@ -229,8 +234,7 @@ std::optional<PlanEvaluator::Result> PlanEvaluator::first_improving(
   // the chunk size: chunks are scanned in rank order and the scan stops at
   // the first improvement, so the committed candidate is the lowest-ranked
   // improving one no matter how the chunks were cut.
-  const std::size_t block = std::max<std::size_t>(options_.candidate_block_size, 1);
-  const std::size_t chunk = block * std::max<std::size_t>(num_threads(), 1);
+  const std::size_t chunk = kCandidateBlockSize * std::max<std::size_t>(num_threads(), 1);
   std::optional<Result> found;
   std::size_t evaluated = 0;
   for (std::size_t begin = 0; begin < budget && !found; begin += chunk) {

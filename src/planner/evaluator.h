@@ -143,11 +143,11 @@ class PlanEvaluator {
                             RebuildScratch* scratch);
   /// Block dispatcher for the scoring loops: runs fn(i, scratch) for every
   /// i in [0, n), one pool task per contiguous rank-block of
-  /// PlannerOptions::candidate_block_size candidates. The scratch is
+  /// kCandidateBlockSize candidates (evaluator.cpp). The scratch is
   /// task-local and reused across the block's candidates, so per-candidate
   /// allocation and pool dispatch amortize over the block. Pure dispatch
   /// shape: every i runs exactly once into its own output slot, so callers
-  /// see results identical to the serial loop for any block size.
+  /// see results identical to the serial loop.
   void for_each_blocked(std::size_t n,
                         const std::function<void(std::size_t, RebuildScratch&)>& fn);
   /// Materializes the scored winner; exact by construction (the score path

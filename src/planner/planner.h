@@ -67,13 +67,6 @@ struct PlannerOptions {
   /// attribute set, remaining-capacity fingerprint). A hit is bit-identical
   /// to a fresh build; switching this off only trades speed.
   bool memoize_builds = true;
-  /// Candidates per pool task: each task scores one contiguous rank-block
-  /// with thread-local scratch reused across the block, amortizing dispatch
-  /// and allocation overhead. Like num_threads, this is dispatch shape
-  /// only — the committed plan is bit-identical for every value (scores
-  /// are committed in rank order regardless of which block produced them).
-  /// 0 is treated as 1.
-  std::size_t candidate_block_size = 4;
 
   // --- observability (src/obs, DESIGN.md §9) -----------------------------
   /// Metrics registry the evaluation engine publishes to (the counters

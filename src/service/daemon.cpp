@@ -70,7 +70,7 @@ MonitoringDaemon::MonitoringDaemon(SystemModel global, DaemonOptions options)
     metrics_.commands_applied = &reg.counter("service.commands_applied");
     metrics_.values_applied = &reg.counter("service.values_applied");
     metrics_.pairs_emitted = &reg.counter("service.pairs_emitted");
-    metrics_.values_shed = &reg.counter("service.values_shed");
+    metrics_.values_shed = &reg.gauge("service.values_shed");
     metrics_.queue_depth = &reg.gauge("service.queue_depth");
     metrics_.queued_values = &reg.gauge("service.queued_values");
     metrics_.coverage = &reg.gauge("service.coverage");
@@ -248,8 +248,7 @@ void MonitoringDaemon::emit_epoch(double now_end,
     metrics_.commands_applied->add(scratch_commands_.size());
     metrics_.values_applied->add(values_this_epoch);
     metrics_.pairs_emitted->add(collected_.size());
-    metrics_.values_shed->reset();  // set semantics: mirror the bus total
-    metrics_.values_shed->add(bus_stats.values_shed);
+    metrics_.values_shed->set(static_cast<double>(bus_stats.values_shed));
     metrics_.queue_depth->set(static_cast<double>(sample.queue_depth));
     metrics_.queued_values->set(static_cast<double>(bus_.queued_values()));
     metrics_.coverage->set(last_status_.coverage);

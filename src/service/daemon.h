@@ -10,9 +10,9 @@
 //
 // The run loop is epoch-driven on a VIRTUAL clock: epoch e ends at time
 // e·epoch_duration, and that value — never the wall clock — feeds the
-// planner, the delta tracker, and the latency histogram. Consequences:
+// planner and the latency histogram. Consequences:
 //   - a test or bench driving run_epoch() in a tight loop observes the
-//     exact same plans, flush cadences, and latency samples as a deployed
+//     exact same plans, replan epochs, and latency samples as a deployed
 //     daemon pacing itself with run_wall_clock();
 //   - daemon mode is bit-identical to batch mode: applying the same
 //     command sequence directly to a FederatedMonitoringSystem with the
@@ -23,10 +23,11 @@
 //     the bus (in-flight commands, token buckets), the latest-value map,
 //     and the virtual clock.
 //
-// Task churn drains through the federation facade, which routes it to the
-// shard cores' delta fast path (DeltaTracker, DESIGN.md §13); node
-// outages surface through the facade's detect → repair → replan loop when
-// recovery is enabled in the shard options.
+// Task churn drains through the federation facade into the owning shard
+// core's pending delta, which that core replans once, at the epoch's
+// first read after the drain (DESIGN.md §13); node outages surface
+// through the facade's detect → repair → replan loop when recovery is
+// enabled in the shard options.
 #pragma once
 
 #include <cstdint>
@@ -176,7 +177,7 @@ class MonitoringDaemon {
     obs::Counter* commands_applied = nullptr;
     obs::Counter* values_applied = nullptr;
     obs::Counter* pairs_emitted = nullptr;
-    obs::Counter* values_shed = nullptr;     ///< set-semantics mirror of BusStats
+    obs::Gauge* values_shed = nullptr;  ///< mirror of the BusStats total
     obs::Gauge* queue_depth = nullptr;
     obs::Gauge* queued_values = nullptr;
     obs::Gauge* coverage = nullptr;

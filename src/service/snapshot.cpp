@@ -201,7 +201,6 @@ void encode_planner_state(Writer& w, const MonitoringSystem::PlannerState& st) {
     w.f64(stamp);
   }
   w.f64(st.init_time);
-  w.f64(st.replan_cost_estimate);
   w.str(st.constraint_signature);
 }
 
@@ -215,7 +214,6 @@ bool decode_planner_state(Reader& r, MonitoringSystem::PlannerState& st) {
     st.adjustment_stamps.emplace(std::move(attrs), stamp);
   }
   st.init_time = r.f64();
-  st.replan_cost_estimate = r.f64();
   st.constraint_signature = r.str();
   return r.ok();
 }

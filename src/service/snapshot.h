@@ -1,10 +1,11 @@
 // Snapshot/restore for the monitoring system (DESIGN.md §14): serializes
 // everything plan-affecting — task sets, routing metadata, the deployed
 // tree forest with its exact iteration order, and the adaptive planner's
-// throttle bookkeeping (adjustment stamps, replan-cost EWMA) — into the
-// wire format, such that a daemon restarted from the image continues
-// BIT-IDENTICALLY to the one that was captured (property-tested over
-// seeded churn sequences).
+// throttle bookkeeping (adjustment stamps) — into the wire format, such
+// that a daemon restarted from the image continues BIT-IDENTICALLY to the
+// one that was captured (property-tested over seeded churn sequences).
+// Nothing measured enters an image, so identical runs capture identical
+// bytes.
 //
 // What is deliberately NOT serialized:
 //   - planner pair sets: restore re-derives them from the restored tasks

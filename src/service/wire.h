@@ -25,7 +25,7 @@ namespace remo::service::wire {
 
 /// "REMO" in little-endian byte order.
 inline constexpr std::uint32_t kMagic = 0x4F4D4552u;
-inline constexpr std::uint16_t kVersion = 1;
+inline constexpr std::uint16_t kVersion = 2;
 
 enum class RecordType : std::uint8_t {
   kStreamHeader = 1,  ///< reserved (the header is written raw, not framed)

@@ -54,11 +54,12 @@ struct SimConfig {
   /// PairSet::all_pairs() order) — used to score replicated deliveries.
   bool collect_pair_errors = false;
   /// Invoked for every value arriving at the collector — the hook feeding
-  /// the data collector / result processor (collector/time_series.h,
-  /// collector/alerts.h). `epoch` is the arrival epoch.
+  /// the data collector / result processor (e.g. the liveness tracker
+  /// behind MonitoringSystem::on_delivery). `epoch` is the arrival epoch.
   std::function<void(NodeAttrPair, std::uint64_t epoch, double value)>
       on_delivery;
-  /// Invoked once per epoch after all deliveries (fleet-scope alerting).
+  /// Invoked once per epoch after all deliveries (e.g. the detect → repair
+  /// step of MonitoringSystem::end_epoch).
   std::function<void(std::uint64_t epoch)> on_epoch_end;
   /// Invoked after on_epoch_end; returning a topology redeploys it starting
   /// with the next epoch — the hook that closes the detect → repair →

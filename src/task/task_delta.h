@@ -1,8 +1,9 @@
-// Structured churn unit: what one task-manager mutation (or a coalesced
+// Structured churn unit: what one task-manager mutation (or a merged
 // burst of them) changed, expressed directly as a pair-set delta plus the
 // touched task ids. Emitted by TaskManager's delta-returning mutators and
-// apply_update_batch so delta consumers (the adaptive planner's dirty-set
-// tracker, DESIGN.md §13) never have to re-diff full PairSets.
+// apply_update_batch so delta consumers (the MonitoringSystem facade's
+// pending delta and AdaptivePlanner::apply_delta, DESIGN.md §13) never
+// have to re-diff full PairSets.
 #pragma once
 
 #include "common/sorted_vector.h"

@@ -298,7 +298,10 @@ TreeBuildResult build_tree(std::vector<TreeAttrSpec> attrs,
   }
 
   for (auto& p : pending) result.rejected.push_back(std::move(p.item));
-  if (options.dfs_renumber) result.tree.renumber_dfs();
+  // Renumber arena slots into DFS preorder so ancestor walks against the
+  // finished tree (later can_attach / attach checks) touch monotonically
+  // nearby rows. Pure relayout: node ids, edges and costs are unchanged.
+  result.tree.renumber_dfs();
   return result;
 }
 

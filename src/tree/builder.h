@@ -46,11 +46,6 @@ struct TreeBuildOptions {
   /// Stop after this many consecutive adjustments that enable no new
   /// attachment (guards termination of the construct/adjust iteration).
   std::size_t max_fruitless_adjusts = 4;
-  /// Renumber arena slots into DFS preorder after the build so ancestor
-  /// walks (can_attach / attach feasibility checks against the finished
-  /// tree) touch monotonically nearby rows. Pure relayout: node ids, edges
-  /// and costs are unchanged.
-  bool dfs_renumber = true;
 };
 
 struct TreeBuildResult {

@@ -1,13 +1,12 @@
 // Churn-path equivalence properties (DESIGN.md §13, `ctest -L churn`):
-// the delta replanning pipeline — exact TaskDeltas → DeltaTracker
-// coalescing → AdaptivePlanner::flush — must be bit-identical to the
+// the delta replanning pipeline — exact TaskDeltas → TaskDelta::merge →
+// AdaptivePlanner::apply_delta — must be bit-identical to the
 // non-incremental ADAPTIVE scheme fed full pair sets at the same epochs,
 // at every layer it is plumbed through: the planner itself, the
 // MonitoringSystem facade's fast path, and the federation's shard-local
 // routing (untouched shards must not replan at all).
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -42,8 +41,8 @@ TEST(ChurnProperty, DeltaPathMatchesNonIncrementalAdaptiveAcrossSeeds) {
     // Sparse pair coverage matters here: with few nodes and a tiny attr
     // universe, every (node, attr) pair is covered by several overlapping
     // tasks, refcounts never cross zero, and dedup-level deltas are empty
-    // — the tracker would (correctly) never flush. Size the system so
-    // churn actually moves the deduplicated pair set.
+    // — no replan window would ever open. Size the system so churn
+    // actually moves the deduplicated pair set.
     const std::size_t n = 24 + (seed % 5) * 8;
     const std::size_t universe = 16 + (seed % 3) * 4;
     SystemModel system(n, 300.0, kCost);
@@ -59,11 +58,7 @@ TEST(ChurnProperty, DeltaPathMatchesNonIncrementalAdaptiveAcrossSeeds) {
     obs::Registry incr_registry, ref_registry;
     PlannerOptions incr_options = quick_options();
     incr_options.metrics = &incr_registry;
-    DeltaTrackerOptions tracker;
-    tracker.max_defer_seconds = 4.0;
-    tracker.max_pending_pairs = std::numeric_limits<std::size_t>::max();
-    tracker.staleness_cost_per_pair_second = 0.0;
-    AdaptivePlanner incr(system, incr_options, AdaptScheme::kAdaptive, tracker);
+    AdaptivePlanner incr(system, incr_options, AdaptScheme::kAdaptive);
     PlannerOptions ref_options = quick_options();
     ref_options.metrics = &ref_registry;
     AdaptivePlanner ref(system, ref_options, AdaptScheme::kAdaptive);
@@ -72,10 +67,15 @@ TEST(ChurnProperty, DeltaPathMatchesNonIncrementalAdaptiveAcrossSeeds) {
     incr.initialize(initial, 0.0);
     ref.initialize(initial, 0.0);
 
+    // Merge each batch's delta into one pending delta; a window opens at
+    // the first batch that leaves it non-empty and replans 4 epochs later.
     Rng churn{seed * 977};
+    TaskDelta pending;
+    double window_opened = 0.0;
     std::size_t replans = 0;
     const auto replan_both = [&](double now) {
-      incr.flush(now);
+      incr.apply_delta(pending, now);
+      pending = TaskDelta{};
       ref.apply_update(manager.dedup(system.num_vertices()), now);
       ++replans;
       EXPECT_EQ(incr.topology().edges(), ref.topology().edges())
@@ -89,10 +89,11 @@ TEST(ChurnProperty, DeltaPathMatchesNonIncrementalAdaptiveAcrossSeeds) {
     for (std::size_t b = 1; b <= 16; ++b) {
       const double now = static_cast<double>(b);
       const auto stats = apply_update_batch(manager, system, universe, churn, 0.2);
-      incr.enqueue_delta(stats.delta, now);
-      if (incr.should_flush(now)) replan_both(now);
+      if (pending.pairs.empty()) window_opened = now;
+      pending.merge(stats.delta);
+      if (!pending.pairs.empty() && now - window_opened >= 4.0) replan_both(now);
     }
-    if (incr.has_pending()) replan_both(17.0);
+    if (!pending.pairs.empty()) replan_both(17.0);
     EXPECT_GE(replans, 2u) << "seed=" << seed;
   }
 }

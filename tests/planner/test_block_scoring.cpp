@@ -1,7 +1,7 @@
 // Block-dispatch and SIMD determinism properties (DESIGN.md §15): the
-// committed plan and collected pairs are bit-identical across every
-// candidate_block_size, thread count, and SIMD toggle — dispatch shape and
-// kernel selection are pure throughput knobs, never tie-breakers.
+// committed plan and collected pairs are bit-identical across thread
+// counts and the SIMD toggle — dispatch shape and kernel selection are
+// pure throughput knobs, never tie-breakers.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -39,49 +39,36 @@ struct RandomWorkload {
   }
 };
 
-PlannerOptions engine_options(std::size_t threads, std::size_t block) {
-  PlannerOptions o;
-  o.num_threads = threads;
-  o.candidate_block_size = block;
-  return o;
-}
-
 void expect_plan_invariant(const RandomWorkload& w, PlannerOptions base,
                            std::uint64_t seed) {
   SimdGuard guard;
-  // Reference: serial, one candidate per task, scalar kernels.
+  // Reference: serial, scalar kernels.
   simd::set_enabled(false);
   PlannerOptions ref_opts = base;
   ref_opts.num_threads = 1;
-  ref_opts.candidate_block_size = 1;
   const auto reference = Planner(w.system, ref_opts).plan(w.pairs);
   const PlanScore ref_score = score_of(reference);
 
   for (const bool simd_on : {false, true}) {
     simd::set_enabled(simd_on);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      for (const std::size_t block :
-           {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-        PlannerOptions opts = base;
-        opts.num_threads = threads;
-        opts.candidate_block_size = block;
-        const auto topo = Planner(w.system, opts).plan(w.pairs);
-        const PlanScore s = score_of(topo);
-        EXPECT_EQ(topo.edges(), reference.edges())
-            << "seed=" << seed << " simd=" << simd_on << " threads=" << threads
-            << " block=" << block;
-        EXPECT_EQ(s.collected, ref_score.collected) << "seed=" << seed;
-        EXPECT_DOUBLE_EQ(s.cost, ref_score.cost) << "seed=" << seed;
-      }
+      PlannerOptions opts = base;
+      opts.num_threads = threads;
+      const auto topo = Planner(w.system, opts).plan(w.pairs);
+      const PlanScore s = score_of(topo);
+      EXPECT_EQ(topo.edges(), reference.edges())
+          << "seed=" << seed << " simd=" << simd_on << " threads=" << threads;
+      EXPECT_EQ(s.collected, ref_score.collected) << "seed=" << seed;
+      EXPECT_DOUBLE_EQ(s.cost, ref_score.cost) << "seed=" << seed;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
 // 20-seed property over the identity-funnel fast path (the dominant
-// workload shape): block size x thread count x SIMD on/off.
+// workload shape): thread count x SIMD on/off.
 
-TEST(BlockScoring, PlanIdenticalAcrossBlockSizesThreadsAndSimd) {
+TEST(BlockScoring, PlanIdenticalAcrossThreadsAndSimd) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const std::size_t n = 16 + static_cast<std::size_t>(seed % 7) * 4;
     const Capacity cap = 40.0 + 15.0 * static_cast<double>(seed % 5);
@@ -92,7 +79,7 @@ TEST(BlockScoring, PlanIdenticalAcrossBlockSizesThreadsAndSimd) {
 }
 
 // Non-identity funnels and fractional weights force the general scalar
-// walk (sequential float reduction): the block/SIMD invariance must hold
+// walk (sequential float reduction): the thread/SIMD invariance must hold
 // there too — the SIMD toggle only reroutes the integer kernels.
 TEST(BlockScoring, PlanIdenticalOnNonIdentityFunnelWorkloads) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
@@ -109,8 +96,8 @@ TEST(BlockScoring, PlanIdenticalOnNonIdentityFunnelWorkloads) {
 }
 
 // First-improvement search commits the lowest-ranked improving candidate;
-// the chunked scan must find the same winner no matter how block size and
-// thread count cut the chunks.
+// the chunked scan must find the same winner no matter how the thread
+// count cuts the chunks.
 TEST(BlockScoring, FirstImprovementWinnerInvariantToChunking) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const std::size_t n = 20 + static_cast<std::size_t>(seed % 5) * 4;
@@ -119,25 +106,6 @@ TEST(BlockScoring, FirstImprovementWinnerInvariantToChunking) {
     base.best_of_candidates = false;
     expect_plan_invariant(w, base, seed);
   }
-}
-
-// candidate_block_size = 0 is documented as "treated as 1".
-TEST(BlockScoring, ZeroBlockSizeBehavesAsOne) {
-  RandomWorkload w(7, 24, 60.0, 200.0, 12, 4);
-  const auto one = Planner(w.system, engine_options(4, 1)).plan(w.pairs);
-  const auto zero = Planner(w.system, engine_options(4, 0)).plan(w.pairs);
-  EXPECT_EQ(one.edges(), zero.edges());
-  EXPECT_EQ(score_of(one).collected, score_of(zero).collected);
-}
-
-// A block far larger than the candidate list degenerates to the serial
-// scan and must still agree.
-TEST(BlockScoring, OversizedBlockMatchesSerial) {
-  RandomWorkload w(9, 28, 55.0, 200.0, 13, 4);
-  const auto serial = Planner(w.system, engine_options(1, 1)).plan(w.pairs);
-  const auto big = Planner(w.system, engine_options(4, 4096)).plan(w.pairs);
-  EXPECT_EQ(serial.edges(), big.edges());
-  EXPECT_DOUBLE_EQ(score_of(serial).cost, score_of(big).cost);
 }
 
 }  // namespace

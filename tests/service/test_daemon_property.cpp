@@ -372,13 +372,13 @@ TEST(DaemonBackpressure, SheddingAndRateLimitsSurfaceToProducers) {
   daemon.run_epoch();  // advances the virtual clock by one epoch
   EXPECT_TRUE(admitted(daemon.submit_values(9, {ValueUpdate{1, 2, 2.0}})));
 
-  // The `service.values_shed` mirror tracks the bus total with set
-  // semantics: 1 backpressure-shed value + 1 rate-limited value by the
-  // time the second epoch emitted.
+  // The `service.values_shed` gauge mirrors the bus total: 1
+  // backpressure-shed value + 1 rate-limited value by the time the second
+  // epoch emitted.
   if (obs::enabled()) {
     const auto snap = registry.snapshot();
-    ASSERT_TRUE(snap.counters.contains("service.values_shed"));
-    EXPECT_EQ(snap.counters.at("service.values_shed"), 2u);
+    ASSERT_TRUE(snap.gauges.contains("service.values_shed"));
+    EXPECT_DOUBLE_EQ(snap.gauges.at("service.values_shed"), 2.0);
   }
 
   // Both exporters carry the admission story.

@@ -1,8 +1,9 @@
 // Snapshot/restore of the federated monitoring system (DESIGN.md §14,
 // `ctest -L service`): a restored system is bit-identical to the captured
 // one — same collected pairs, same status roll-up, byte-equal forest
-// digraphs — and *continues* bit-identically under further churn. Plus the
-// generation-counter memoization contract both status() paths ride on.
+// digraphs — and *continues* bit-identically under further churn; two
+// identical runs capture byte-equal images. Plus the generation-counter
+// memoization contract both status() paths ride on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -76,7 +77,7 @@ TEST(Snapshot, RestoredFederationContinuesBitIdentically) {
     for (const auto& t : tasks) ids.push_back(a.add_task(t));
 
     // Warm the planner and churn a little so the throttle bookkeeping
-    // (adjustment stamps, replan-cost EWMA) is non-trivial at capture.
+    // (adjustment stamps) is non-trivial at capture.
     Rng churn{23};
     for (std::uint64_t e = 1; e <= 4; ++e) {
       const std::size_t i = churn.below(tasks.size());
@@ -105,7 +106,7 @@ TEST(Snapshot, RestoredFederationContinuesBitIdentically) {
 
     // Continuation: identical churn on both sides stays byte-equal —
     // including the adaptive throttle's apply-vs-rebuild decisions, which
-    // depend on the restored stamps and cost EWMA.
+    // depend on the restored stamps.
     for (std::uint64_t e = 6; e <= 12; ++e) {
       const double now = static_cast<double>(e);
       const std::size_t i = churn.below(tasks.size());
@@ -126,6 +127,39 @@ TEST(Snapshot, RestoredFederationContinuesBitIdentically) {
     MonitoringTask fresh = gen.small_tasks(1).front();
     EXPECT_EQ(a.add_task(fresh), b.add_task(fresh));
     expect_same_state(a, b, 13.0, "after post-restore add");
+  }
+}
+
+// A snapshot holds plan state only — nothing measured — so two systems
+// built and driven identically capture byte-equal images.
+TEST(Snapshot, IdenticalRunsCaptureByteEqualImages) {
+  for (std::size_t shards : {1u, 2u}) {
+    const std::size_t universe = 12;
+    const SystemModel model = make_model(24, universe, 11);
+    const auto run = [&]() {
+      obs::Registry registry;
+      federation::FederatedMonitoringSystem sys(model, fed_options(shards, &registry));
+      WorkloadGenerator gen(model, WorkloadConfig{.attr_universe = universe}, 17);
+      std::vector<MonitoringTask> tasks = gen.small_tasks(8);
+      std::vector<TaskId> ids;
+      for (const auto& t : tasks) ids.push_back(sys.add_task(t));
+      Rng churn{23};
+      for (std::uint64_t e = 1; e <= 12; ++e) {
+        const std::size_t i = churn.below(tasks.size());
+        MonitoringTask next = tasks[i];
+        next.attrs.clear();
+        next.attrs.push_back(static_cast<AttrId>(churn.below(universe)));
+        next.attrs.push_back(static_cast<AttrId>(churn.below(universe)));
+        sort_unique(next.attrs);
+        tasks[i] = next;
+        next.id = ids[i];
+        EXPECT_TRUE(sys.modify_task(next));
+        sys.status(static_cast<double>(e));
+      }
+      EXPECT_GT(sys.status(13.0).delta_applies, 0u);
+      return capture(sys, 13.0);
+    };
+    EXPECT_EQ(run(), run()) << "K=" << shards;
   }
 }
 

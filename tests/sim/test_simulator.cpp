@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "obs/metrics.h"
 #include "planner/planner.h"
 
@@ -91,6 +93,29 @@ TEST(Simulator, DeeperTreesAreStaler) {
   const auto star_report = simulate(f.system, star, f.pairs, s1, cfg);
   const auto chain_report = simulate(f.system, chain, f.pairs, s2, cfg);
   EXPECT_GT(chain_report.avg_percent_error, star_report.avg_percent_error);
+}
+
+TEST(Simulator, EveryChainMemberDelivers) {
+  // A depth-6 chain relays every member's value through every node above
+  // it; each member must still reach the collector.
+  Fixture f(6, 1, 1e6, 1e9);
+  PlannerOptions o;
+  o.partition_scheme = PartitionScheme::kOneSet;
+  o.tree.scheme = TreeScheme::kChain;
+  const Topology topo = Planner(f.system, o).plan(f.pairs);
+  ASSERT_GE(topo.entries()[0].tree.height(), 6u);
+
+  std::set<NodeAttrPair> delivered;
+  RandomWalkSource source(f.pairs, 3);
+  SimConfig cfg;
+  cfg.epochs = 30;
+  cfg.on_delivery = [&delivered](NodeAttrPair pair, std::uint64_t, double) {
+    delivered.insert(pair);
+  };
+  simulate(f.system, topo, f.pairs, source, cfg);
+
+  for (NodeId n = 1; n <= 6; ++n)
+    EXPECT_TRUE(delivered.contains({n, 0})) << n;
 }
 
 TEST(Simulator, UncoveredPairsRaiseError) {

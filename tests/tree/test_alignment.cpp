@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/simd.h"
-#include "tree/builder.h"
 #include "tree/monitoring_tree.h"
 
 namespace remo {
@@ -197,22 +196,6 @@ TEST(ArenaAlignment, RenumberDfsPreservesObservableState) {
     ASSERT_TRUE(tree.try_attach(BuildItem{v, local, 1e9}, kCollectorId));
   tree.renumber_dfs();
   EXPECT_EQ(tree.size(), before.members.size() + 41);
-}
-
-// The builder's dfs_renumber option must not change the built tree's
-// observable state or scores — only the internal slot order.
-TEST(ArenaAlignment, BuilderDfsRenumberingIsPlanNeutral) {
-  std::vector<BuildItem> items;
-  for (NodeId v = 1; v <= 48; ++v)
-    items.push_back(BuildItem{v, {1, 1, 1}, 35.0});
-  TreeBuildOptions with, without;
-  with.dfs_renumber = true;
-  without.dfs_renumber = false;
-  const auto specs = identity_specs(3);
-  auto a = build_tree(specs, items, 500.0, kCost, with);
-  auto b = build_tree(specs, items, 500.0, kCost, without);
-  EXPECT_EQ(TreeImage::of(a.tree), TreeImage::of(b.tree));
-  EXPECT_EQ(a.rejected.size(), b.rejected.size());
 }
 
 }  // namespace

@@ -19,6 +19,13 @@ struct FuzzParams {
   Capacity avail;
 };
 
+// Names each case from its fields: gtest's default byte dump would put
+// the struct's uninitialized padding into the test name.
+void PrintTo(const FuzzParams& p, std::ostream* os) {
+  *os << "seed=" << p.seed << " " << to_string(p.agg)
+      << " weight=" << p.weight << " avail=" << p.avail;
+}
+
 class TreeFuzz : public ::testing::TestWithParam<FuzzParams> {};
 
 TEST_P(TreeFuzz, RandomOpSequenceKeepsInvariants) {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <unordered_set>
+#include <utility>
 
 #include "common/sorted_vector.h"
 
@@ -11,12 +11,40 @@ namespace remo {
 
 namespace {
 
+/// Scratch reused across the rounds of one build (or one adjust_tree_once
+/// call), so the construct/adjust loop allocates nothing per round once the
+/// buffers have grown.
+struct BuildScratch {
+  std::vector<NodeId> congested;
+  /// Demand signatures whose parent scan found no vertex since the tree
+  /// last changed (see construction_pass). They borrow the pending items'
+  /// rows, so they are valid only during the pass that recorded them.
+  std::vector<MonitoringTree::DemandSignature> failed;
+  std::vector<std::pair<std::size_t, NodeId>> depth_keys;  // (depth, id)
+  std::vector<std::pair<Capacity, NodeId>> cost_keys;      // (send cost, id)
+  std::vector<std::pair<Capacity, NodeId>> slack_keys;     // (slack, id)
+  std::vector<NodeId> branch, scope, targets;
+  /// NodeId-indexed flags; all zero between uses.
+  std::vector<std::uint8_t> mark;
+
+  void set_mark(NodeId v) {
+    if (v >= mark.size()) mark.resize(v + 1, 0);
+    mark[v] = 1;
+  }
+  bool marked(NodeId v) const { return v < mark.size() && mark[v] != 0; }
+  void clear_marks(const std::vector<NodeId>& nodes) {
+    for (NodeId v : nodes) mark[v] = 0;
+  }
+};
+
 /// Parent-selection criterion per scheme. Returns kNoNode if no vertex can
 /// feasibly accept `item`; otherwise the chosen parent. Blocking vertices
-/// encountered during the scan are appended to `congested`.
+/// encountered during the scan are appended to `congested`. Sets
+/// `*fails_on_item` when the item fails on its own (AttachScan).
 // REMO_HOT: called once per pending item per construction pass.
 NodeId select_parent(const MonitoringTree& tree, const BuildItem& item,
-                     TreeScheme scheme, std::vector<NodeId>* congested) {
+                     TreeScheme scheme, std::vector<NodeId>* congested,
+                     bool* fails_on_item) {
   NodeId best = kNoNode;
   // (primary, secondary) score; lower is better.
   double best_primary = std::numeric_limits<double>::infinity();
@@ -26,6 +54,7 @@ NodeId select_parent(const MonitoringTree& tree, const BuildItem& item,
   // below answers can_attach in O(1) per candidate instead of one ancestor
   // walk each (bit-identical booleans and blockers).
   const auto scan = tree.attach_scan(item);
+  *fails_on_item = scan.fails_on_item();
   auto consider = [&](NodeId v) {
     NodeId blocker = kNoNode;
     if (!scan.can_attach(v, &blocker)) {
@@ -67,6 +96,7 @@ NodeId select_parent(const MonitoringTree& tree, const BuildItem& item,
 struct PendingItem {
   BuildItem item;
   Capacity demand = 0;
+  bool attached = false;
 };
 
 Capacity item_demand(const MonitoringTree& tree, const BuildItem& item) {
@@ -80,22 +110,37 @@ Capacity item_demand(const MonitoringTree& tree, const BuildItem& item) {
 /// One construction pass (the STAR-like construction procedure): tries to
 /// attach every pending item, removing the ones that succeed. Returns the
 /// number of attachments made.
+///
+/// A parent scan answers an item only through its demand signature (or
+/// through its own budget, which records no congested node), so once a
+/// signature has failed, every later item with that signature fails the
+/// same way with the same blockers — until an attach changes the tree.
+/// Such items skip the scan: the blockers are already in `congested`, which
+/// is deduplicated at the end.
+// REMO_HOT: one call per construct/adjust round.
 std::size_t construction_pass(MonitoringTree& tree,
                               std::vector<PendingItem>& pending,
-                              TreeScheme scheme, std::vector<NodeId>* congested) {
+                              TreeScheme scheme, std::vector<NodeId>* congested,
+                              BuildScratch& scratch) {
   std::size_t attached = 0;
-  std::vector<PendingItem> still_pending;
-  still_pending.reserve(pending.size());
+  auto& failed = scratch.failed;
+  failed.clear();
   for (auto& p : pending) {
-    const NodeId parent = select_parent(tree, p.item, scheme, congested);
-    if (parent != kNoNode) {
-      tree.attach(p.item, parent);
-      ++attached;
-    } else {
-      still_pending.push_back(std::move(p));
+    const auto sig = tree.demand_signature(p.item);
+    if (std::find(failed.begin(), failed.end(), sig) != failed.end()) continue;
+    bool fails_on_item = false;
+    const NodeId parent =
+        select_parent(tree, p.item, scheme, congested, &fails_on_item);
+    if (parent == kNoNode) {
+      if (!fails_on_item) failed.push_back(sig);
+      continue;
     }
+    tree.attach(p.item, parent);
+    p.attached = true;
+    ++attached;
+    failed.clear();
   }
-  pending = std::move(still_pending);
+  std::erase_if(pending, [](const PendingItem& p) { return p.attached; });
   if (congested) sort_unique(*congested);
   return attached;
 }
@@ -108,78 +153,94 @@ Capacity min_pending_demand(const std::vector<PendingItem>& pending) {
   return best;
 }
 
-/// Reattachment candidates for branch `b` pruned from congested node `dc`.
-/// `subtree_scope`: restrict to dc's subtree (minus the branch and dc
-/// itself); otherwise every vertex except dc and the branch.
-std::vector<NodeId> reattach_candidates(const MonitoringTree& tree, NodeId dc,
-                                        NodeId b, bool subtree_scope) {
-  std::vector<NodeId> out;
-  std::unordered_set<NodeId> excluded;
-  for (NodeId n : tree.branch_nodes(b)) excluded.insert(n);
-  excluded.insert(dc);
+/// Reattachment candidates for branch `b` pruned from congested node `dc`,
+/// written to `scratch.targets`. `subtree_scope`: restrict to dc's subtree
+/// (minus the branch and dc itself); otherwise every vertex except dc and
+/// the branch.
+// REMO_HOT: one call per pruned branch in the adjusting procedure.
+void reattach_candidates(const MonitoringTree& tree, NodeId dc, NodeId b,
+                         bool subtree_scope, BuildScratch& scratch) {
+  tree.branch_nodes(b, scratch.branch);
+  for (NodeId n : scratch.branch) scratch.set_mark(n);
+  scratch.set_mark(dc);
+  auto& keys = scratch.slack_keys;
+  keys.clear();
+  auto consider = [&](NodeId v) {
+    if (!scratch.marked(v)) keys.emplace_back(tree.slack(v), v);
+  };
   if (subtree_scope) {
-    for (NodeId n : tree.branch_nodes(dc))
-      if (!excluded.count(n)) out.push_back(n);
+    tree.branch_nodes(dc, scratch.scope);
+    for (NodeId n : scratch.scope) consider(n);
   } else {
-    if (!excluded.count(kCollectorId)) out.push_back(kCollectorId);
-    for (NodeId n : tree.members())
-      if (!excluded.count(n)) out.push_back(n);
+    consider(kCollectorId);
+    for (NodeId n : tree.members()) consider(n);
   }
+  scratch.clear_marks(scratch.branch);
+  scratch.mark[dc] = 0;
   // Prefer targets with the most slack: they are the likeliest to absorb
-  // the branch, keeping the scan short.
-  std::sort(out.begin(), out.end(), [&](NodeId x, NodeId y) {
-    const double sx = tree.slack(x), sy = tree.slack(y);
-    if (sx != sy) return sx > sy;
-    return x < y;
+  // the branch, keeping the scan short. (slack, id) is a strict total
+  // order, so the list does not depend on the gathering order above.
+  std::sort(keys.begin(), keys.end(), [](const auto& x, const auto& y) {
+    if (x.first != y.first) return x.first > y.first;
+    return x.second < y.second;
   });
-  return out;
+  scratch.targets.clear();
+  for (const auto& k : keys) scratch.targets.push_back(k.second);
 }
 
 /// The adjusting procedure: pick a congested node (shallowest first — "low
 /// level" nodes are the bottleneck under STAR construction), prune its
 /// cheapest branch, and reattach it deeper to convert per-message overhead
 /// into relay cost. Returns true if the tree changed.
-bool adjust(MonitoringTree& tree, std::vector<NodeId> congested,
+bool adjust(MonitoringTree& tree, const std::vector<NodeId>& congested,
             Capacity min_demand, const TreeBuildOptions& opts,
-            TreeBuildResult& stats) {
+            TreeBuildResult& stats, BuildScratch& scratch) {
   ++stats.adjust_invocations;
-  std::sort(congested.begin(), congested.end(), [&](NodeId a, NodeId b) {
-    const auto da = tree.depth(a), db = tree.depth(b);
-    if (da != db) return da < db;
-    return a < b;
-  });
+  auto& order = scratch.depth_keys;
+  order.clear();
+  for (NodeId v : congested) order.emplace_back(tree.depth(v), v);
+  std::sort(order.begin(), order.end());
 
-  for (NodeId dc : congested) {
+  for (const auto& key : order) {
+    const NodeId dc = key.second;
     if (!tree.contains(dc)) continue;
     const auto& kids = tree.children(dc);
     if (kids.size() < 2) continue;  // degree cannot usefully shrink
     // Branches of dc in ascending message cost: the cheapest branch is the
     // most movable, but when it cannot be rehomed the next ones are tried
-    // (any relocated branch frees C at dc).
-    std::vector<NodeId> branches(kids.begin(), kids.end());
-    std::sort(branches.begin(), branches.end(), [&](NodeId x, NodeId y) {
-      const Capacity ux = tree.send_cost(x), uy = tree.send_cost(y);
-      if (ux != uy) return ux < uy;
-      return x < y;
-    });
+    // (any relocated branch frees C at dc). Keyed before any trial: a
+    // failed trial reorders dc's child list.
+    auto& branches = scratch.cost_keys;
+    branches.clear();
+    for (NodeId b : kids) branches.emplace_back(tree.send_cost(b), b);
+    std::sort(branches.begin(), branches.end());
 
-    for (NodeId b : branches) {
-      const Capacity b_cost = tree.send_cost(b);
+    for (const auto& [b_cost, b] : branches) {
       // Theorem 1: if u_df <= u_b the subtree of dc is a complete search
       // scope; otherwise fall back to the full tree.
       const bool scope_subtree = opts.subtree_only && min_demand <= b_cost + 1e-9;
 
       if (opts.branch_reattach) {
-        for (NodeId target : reattach_candidates(tree, dc, b, scope_subtree)) {
-          ++stats.reattach_tests;
-          if (tree.move_branch(b, target)) return true;
-        }
+        reattach_candidates(tree, dc, b, scope_subtree, scratch);
+        const auto& targets = scratch.targets;
+        const std::size_t taken = tree.move_branch_first(b, targets);
+        // One test per target tried, as a move_branch loop would count.
+        stats.reattach_tests += std::min(taken + 1, targets.size());
+        if (taken < targets.size()) return true;
       } else {
         // Node-by-node reattach (the basic scheme): detach the branch, then
         // greedily re-insert each node anywhere except dc. All-or-nothing:
         // journal the mutations and roll back if any node fails.
         tree.begin_journal();
         auto items = tree.detach_branch(b);
+        // Theorem 1 scope: dc's subtree, marked once; re-inserted nodes
+        // land under a marked vertex, so they join the mark.
+        auto& inside = scratch.scope;
+        inside.clear();
+        if (scope_subtree) {
+          tree.branch_nodes(dc, inside);
+          for (NodeId v : inside) scratch.set_mark(v);
+        }
         bool ok = true;
         for (const auto& item : items) {
           NodeId best = kNoNode;
@@ -187,7 +248,7 @@ bool adjust(MonitoringTree& tree, std::vector<NodeId> congested,
           const auto scan = tree.attach_scan(item);
           auto try_target = [&](NodeId v) {
             if (v == dc || v == item.id) return;
-            if (scope_subtree && !tree.in_subtree(v, dc)) return;
+            if (scope_subtree && !scratch.marked(v)) return;
             ++stats.reattach_tests;
             if (!scan.can_attach(v)) return;
             const double s = tree.slack(v);
@@ -203,7 +264,12 @@ bool adjust(MonitoringTree& tree, std::vector<NodeId> congested,
             break;
           }
           tree.attach(item, best);
+          if (scope_subtree) {
+            scratch.set_mark(item.id);
+            inside.push_back(item.id);
+          }
         }
+        scratch.clear_marks(inside);
         if (ok) {
           tree.commit_journal();
           return true;
@@ -220,9 +286,10 @@ bool adjust(MonitoringTree& tree, std::vector<NodeId> congested,
 bool adjust_tree_once(MonitoringTree& tree, std::vector<NodeId> congested,
                       Capacity min_demand, const TreeBuildOptions& options,
                       TreeBuildResult* stats) {
-  TreeBuildResult scratch{MonitoringTree({}, 0, tree.cost()), {}, 0, 0, 0.0};
-  TreeBuildResult& sink = stats != nullptr ? *stats : scratch;
-  return adjust(tree, std::move(congested), min_demand, options, sink);
+  TreeBuildResult unused{MonitoringTree({}, 0, tree.cost()), {}, 0, 0, 0.0};
+  TreeBuildResult& sink = stats != nullptr ? *stats : unused;
+  BuildScratch scratch;
+  return adjust(tree, congested, min_demand, options, sink, scratch);
 }
 
 const char* to_string(TreeScheme s) noexcept {
@@ -257,7 +324,7 @@ TreeBuildResult build_tree(std::vector<TreeAttrSpec> attrs,
     if (item.local_total() == 0) {
       result.rejected.push_back(std::move(item));
     } else {
-      PendingItem p{std::move(item), 0};
+      PendingItem p{std::move(item), 0, false};
       p.demand = item_demand(result.tree, p.item);
       pending.push_back(std::move(p));
     }
@@ -271,11 +338,13 @@ TreeBuildResult build_tree(std::vector<TreeAttrSpec> attrs,
               return a.item.id < b.item.id;
             });
 
+  BuildScratch scratch;
+  std::vector<NodeId>& congested = scratch.congested;
   std::size_t fruitless = 0;
   while (!pending.empty()) {
-    std::vector<NodeId> congested;
-    const std::size_t attached =
-        construction_pass(result.tree, pending, options.scheme, &congested);
+    congested.clear();
+    const std::size_t attached = construction_pass(
+        result.tree, pending, options.scheme, &congested, scratch);
     if (pending.empty()) break;
     if (attached > 0)
       fruitless = 0;
@@ -289,7 +358,7 @@ TreeBuildResult build_tree(std::vector<TreeAttrSpec> attrs,
     const Capacity min_demand = min_pending_demand(pending);
     const auto adjust_start = std::chrono::steady_clock::now();
     const bool adjusted =
-        adjust(result.tree, std::move(congested), min_demand, options, result);
+        adjust(result.tree, congested, min_demand, options, result, scratch);
     result.adjust_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       adjust_start)

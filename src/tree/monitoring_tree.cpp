@@ -148,24 +148,26 @@ std::size_t MonitoringTree::height() const {
 
 std::vector<NodeId> MonitoringTree::branch_nodes(NodeId r) const {
   std::vector<NodeId> out;
-  std::deque<NodeId> q{r};
-  while (!q.empty()) {
-    NodeId id = q.front();
-    q.pop_front();
-    out.push_back(id);
-    for (NodeId c : children_[slot_of(id)]) q.push_back(c);
-  }
+  branch_nodes(r, out);
   return out;
 }
 
-bool MonitoringTree::in_subtree(NodeId id, NodeId r) const {
-  Slot cur = slot_of(id);
-  const Slot target = slot_of(r);
-  while (true) {
-    if (cur == target) return true;
-    if (cur == kRootSlot) return false;
-    cur = parent_[cur];
+void MonitoringTree::branch_nodes(NodeId r, std::vector<NodeId>& out) const {
+  // `out` doubles as the BFS queue: entries before `i` are visited.
+  out.assign(1, r);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const Slot s = slot_of(out[i]);
+    out.insert(out.end(), children_[s].begin(), children_[s].end());
   }
+}
+
+bool MonitoringTree::in_subtree(NodeId id, NodeId r) const {
+  return slot_in_subtree(slot_of(id), slot_of(r));
+}
+
+bool MonitoringTree::slot_in_subtree(Slot s, Slot r) const noexcept {
+  while (depth_[s] > depth_[r]) s = parent_[s];
+  return s == r;
 }
 
 double MonitoringTree::payload(NodeId id) const {
@@ -469,13 +471,13 @@ void MonitoringTree::build_attach_masks(const BuildItem& item,
   for (Slot q = 1; q < slots; ++q) {
     if (id_[q] == kNoNode || scan_done_[q]) continue;
     Slot w = q;
-    scan_stack_.clear();
+    slot_stack_.clear();
     while (!scan_done_[w]) {
-      scan_stack_.push_back(w);
+      slot_stack_.push_back(w);
       w = parent_[w];
     }
     NodeId b = scan_anc_blocker_[w];
-    for (auto it = scan_stack_.rbegin(); it != scan_stack_.rend(); ++it) {
+    for (auto it = slot_stack_.rbegin(); it != slot_stack_.rend(); ++it) {
       if (scan_afail_[*it]) b = id_[*it];
       scan_anc_blocker_[*it] = b;
       scan_done_[*it] = 1;
@@ -584,61 +586,61 @@ void MonitoringTree::relink(Slot r, Slot parent, const std::uint32_t* out,
   recv_[parent] += u;
 }
 
-bool MonitoringTree::can_move_branch(NodeId r, NodeId new_parent,
-                                     NodeId* blocker) {
-  if (!contains(r) || !contains(new_parent)) return false;
-  if (in_subtree(new_parent, r)) return false;  // would create a cycle
+// REMO_HOT: one call per pruned branch in the adjusting procedure.
+std::size_t MonitoringTree::move_branch_first(NodeId r,
+                                              std::span<const NodeId> targets) {
+  const std::size_t none = targets.size();
+  if (!contains(r)) return none;
   const Slot rs = lookup_[r];
-  const Slot nps = lookup_[new_parent];
   const Slot ops = parent_[rs];
-  if (ops == nps) return false;
-  // Temporarily unlink, test, relink. Restoring is exact because the
-  // branch's internal state never changes.
-  const auto out = out_counts(r);
-  const Capacity u = send_cost(r);
-  unlink(rs, out.data(), u);
-  const bool ok = feasible_add(nps, out.data(), u, blocker);
-  relink(rs, ops, out.data(), u);
-  // State is restored exactly, but the arena was touched in between:
-  // invalidate outstanding views taken before the probe.
-  bump_generation();
-  return ok;
-}
-
-bool MonitoringTree::move_branch(NodeId r, NodeId new_parent) {
-  if (!contains(r) || !contains(new_parent)) return false;
-  if (in_subtree(new_parent, r)) return false;
-  const Slot rs = lookup_[r];
-  const Slot nps = lookup_[new_parent];
-  const Slot ops = parent_[rs];
-  if (ops == nps) return false;
-  const auto out = out_counts(r);
-  const Capacity u = send_cost(r);
-  unlink(rs, out.data(), u);
-  if (!feasible_add(nps, out.data(), u, nullptr)) {
-    relink(rs, ops, out.data(), u);
-    return false;
-  }
-  relink(rs, nps, out.data(), u);
-  jparent(rs);
-  parent_[rs] = nps;
-  // Re-base the cached depth of the whole branch.
-  const std::int64_t shift = static_cast<std::int64_t>(depth_[nps]) + 1 -
-                             static_cast<std::int64_t>(depth_[rs]);
-  if (shift != 0) {
-    std::deque<Slot> q{rs};
-    while (!q.empty()) {
-      const Slot s = q.front();
-      q.pop_front();
-      jdepth(s);
-      depth_[s] = static_cast<std::uint32_t>(
-          static_cast<std::int64_t>(depth_[s]) + shift);
-      for (NodeId c : children_[s]) q.push_back(lookup_[c]);
+  // r's out row and message cost do not change while the branch is
+  // unlinked, so one unlink serves every target: each test is then the
+  // non-mutating walk a fresh move_branch would run after its own unlink.
+  Capacity u = 0.0;
+  bool unlinked = false;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const NodeId t = targets[i];
+    if (!contains(t)) continue;
+    const Slot nps = lookup_[t];
+    if (nps == ops || slot_in_subtree(nps, rs)) continue;  // no-op, or a cycle
+    if (!unlinked) {
+      const std::uint32_t* in = in_row(rs);
+      for (std::size_t m = 0; m < attrs_.size(); ++m)
+        out_scratch_[m] = attrs_[m].funnel(in[m]);
+      u = cost_.per_message + cost_.per_value * y_[rs];
+      unlink(rs, out_scratch_.data(), u);
+      unlinked = true;
     }
+    if (!feasible_add(nps, out_scratch_.data(), u, nullptr)) continue;
+    relink(rs, nps, out_scratch_.data(), u);
+    jparent(rs);
+    parent_[rs] = nps;
+    // Re-base the cached depth of the whole branch.
+    const std::int64_t shift = static_cast<std::int64_t>(depth_[nps]) + 1 -
+                               static_cast<std::int64_t>(depth_[rs]);
+    if (shift != 0) {
+      slot_stack_.assign(1, rs);
+      while (!slot_stack_.empty()) {
+        const Slot s = slot_stack_.back();
+        slot_stack_.pop_back();
+        jdepth(s);
+        depth_[s] = static_cast<std::uint32_t>(
+            static_cast<std::int64_t>(depth_[s]) + shift);
+        for (NodeId c : children_[s]) slot_stack_.push_back(lookup_[c]);
+      }
+    }
+    bump_generation();
+    deep_validate("move_branch_first");
+    return i;
   }
-  bump_generation();
-  deep_validate("move_branch");
-  return true;
+  if (unlinked) {
+    // No tested target fits: back under the old parent, at the back of its
+    // child list (what a failed move_branch has always left).
+    relink(rs, ops, out_scratch_.data(), u);
+    bump_generation();
+    deep_validate("move_branch_first");
+  }
+  return none;
 }
 
 std::vector<BuildItem> MonitoringTree::detach_branch(NodeId r) {

@@ -34,6 +34,7 @@
 //     back by replaying inverses instead of deep-copying the tree.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -190,6 +191,9 @@ class MonitoringTree {
   std::size_t height() const;
   /// `r` plus all its descendants, in BFS order.
   std::vector<NodeId> branch_nodes(NodeId r) const;
+  /// The same list written into `out` (cleared first), so hot callers can
+  /// reuse one buffer instead of allocating per call.
+  void branch_nodes(NodeId r, std::vector<NodeId>& out) const;
   /// True iff `id` is in the subtree rooted at `r` (inclusive).
   bool in_subtree(NodeId id, NodeId r) const;
 
@@ -264,6 +268,11 @@ class MonitoringTree {
   class AttachScan {
    public:
     bool can_attach(NodeId parent, NodeId* blocker = nullptr) const;
+    /// True when every query fails because of the item itself: it is
+    /// already a member, or it cannot afford its own message (blocker =
+    /// the item's id). Such answers say nothing about the tree, nor about
+    /// other items with the same demand_signature().
+    bool fails_on_item() const noexcept { return item_member_ || self_fail_; }
 
    private:
     friend class MonitoringTree;
@@ -280,6 +289,27 @@ class MonitoringTree {
   AttachScan attach_scan(const BuildItem& item) const {
     return AttachScan(*this, item);
   }
+
+  /// Everything an AttachScan reads from an item apart from its id and its
+  /// own budget: the local row total on uniform-identity trees (the fast
+  /// path reads only u = C + a·total and total), the full local row
+  /// otherwise. Scans of one tree state give two items with equal
+  /// signatures the same answers and the same blockers, unless a scan
+  /// fails_on_item(). `row` borrows the item's local counts.
+  struct DemandSignature {
+    std::uint64_t total = 0;
+    std::span<const std::uint32_t> row;  // empty on uniform-identity trees
+
+    bool operator==(const DemandSignature& o) const noexcept {
+      return total == o.total &&
+             std::equal(row.begin(), row.end(), o.row.begin(), o.row.end());
+    }
+  };
+  DemandSignature demand_signature(const BuildItem& item) const noexcept {
+    const std::uint64_t total = simd::sum_u32(item.local.data(), item.local.size());
+    if (uniform_identity_) return {total, {}};
+    return {total, item.local};
+  }
   /// Attach; aborts the process if infeasible (callers check first).
   void attach(const BuildItem& item, NodeId parent);
   /// Fused feasibility-test + attach: performs the upward feasibility walk
@@ -289,12 +319,24 @@ class MonitoringTree {
   bool try_attach(const BuildItem& item, NodeId parent,
                   NodeId* blocker = nullptr);
 
-  /// Can the branch rooted at `r` be re-parented under `new_parent`?
-  /// `new_parent` must not be inside the branch.
-  bool can_move_branch(NodeId r, NodeId new_parent, NodeId* blocker = nullptr);
-  /// Re-parent branch `r` under `new_parent`; returns false (tree
-  /// unchanged) if infeasible.
-  bool move_branch(NodeId r, NodeId new_parent);
+  /// Re-parents branch `r` under the first of `targets` that can take it,
+  /// and returns that target's index; returns targets.size() if none can.
+  /// A target is skipped without a test when it is absent, inside the
+  /// branch, or already r's parent. The branch is unlinked once, before
+  /// the first tested target, and every test is the non-mutating
+  /// feasibility walk. If no tested target fits, `r` is relinked under its
+  /// old parent at the BACK of that parent's child list — loads are
+  /// restored (bit for bit under exact arithmetic), but the child order
+  /// has changed, and child order is plan state (restore_iteration_order).
+  /// If no target was tested, nothing changes. Equivalent to calling
+  /// move_branch(r, t) for each target in order until one succeeds.
+  std::size_t move_branch_first(NodeId r, std::span<const NodeId> targets);
+  /// Re-parent branch `r` under `new_parent`: move_branch_first with one
+  /// target. Returns false if the move is illegal (tree unchanged) or
+  /// infeasible (r moved to the back of its parent's child list).
+  bool move_branch(NodeId r, NodeId new_parent) {
+    return move_branch_first(r, {&new_parent, 1}) == 0;
+  }
 
   /// Remove the branch rooted at `r`; returns the removed nodes as build
   /// items (BFS order: parents before children).
@@ -363,6 +405,8 @@ class MonitoringTree {
   }
 
   Slot slot_of(NodeId id) const;           // throws std::out_of_range if absent
+  /// in_subtree on slots: walks up from `s` only to `r`'s cached depth.
+  bool slot_in_subtree(Slot s, Slot r) const noexcept;
   Slot alloc_slot();                       // from the free list, or grows arena
   double weighted_out(const std::uint32_t* in) const;
 
@@ -414,7 +458,8 @@ class MonitoringTree {
   /// Unlink branch root `r` from its parent and subtract its message from
   /// the ancestor loads (shared by move/detach). `out` is r's out-vector.
   void unlink(Slot r, const std::uint32_t* out, Capacity u);
-  /// Inverse of unlink (move-infeasible restore path).
+  /// Inverse of unlink: appends `r` to `parent`'s child list and adds its
+  /// message to the loads. Does not touch parent_[r] or depths.
   void relink(Slot r, Slot parent, const std::uint32_t* out, Capacity u);
 
   // -- journal helpers (no-ops unless journal_on_) --
@@ -462,7 +507,9 @@ class MonitoringTree {
   // if the whole chain passes.
   mutable std::vector<std::uint8_t> scan_pfail_, scan_afail_, scan_done_;
   mutable std::vector<NodeId> scan_anc_blocker_;
-  mutable std::vector<Slot> scan_stack_;
+  // Slot stack shared by the attach-mask chase and move_branch_first's
+  // depth shift (neither is live while the other runs).
+  mutable std::vector<Slot> slot_stack_;
   mutable bool scan_skip_anc_ = false;
 
   /// Memoized total_cost(). Copyable atomic pair: trees are copied freely

@@ -186,18 +186,6 @@ TEST(MonitoringTree, MoveBranchInfeasibleLeavesTreeUnchanged) {
   EXPECT_TRUE(t.validate());
 }
 
-TEST(MonitoringTree, CanMoveBranchIsNonDestructive) {
-  MonitoringTree t(holistic_attrs(1), 1000.0, kCost);
-  t.attach(item(1, {1}, 100.0), kCollectorId);
-  t.attach(item(2, {1}, 100.0), 1);
-  t.attach(item(3, {1}, 100.0), 1);
-  const Capacity u1 = t.usage(1);
-  EXPECT_TRUE(t.can_move_branch(3, 2));
-  EXPECT_DOUBLE_EQ(t.usage(1), u1);  // probe left no trace
-  EXPECT_EQ(t.parent(3), 1u);
-  EXPECT_TRUE(t.validate());
-}
-
 TEST(MonitoringTree, DetachBranchRemovesSubtreeAndLoads) {
   MonitoringTree t(holistic_attrs(1), 1000.0, kCost);
   t.attach(item(1, {1}, 100.0), kCollectorId);

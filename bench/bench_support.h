@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/sorted_vector.h"
 #include "common/table.h"
@@ -111,17 +112,9 @@ inline BenchRun& bench_run() {
 
 namespace detail {
 
-/// JSON string literal: quoted, with `"` and `\` escaped.
+/// JSON string literal: quoted and escaped (common/json.h).
 inline std::string json_quote(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
+  return '"' + json_escape(s) + '"';
 }
 
 /// Table cells are preformatted strings; re-emit the numeric ones as JSON

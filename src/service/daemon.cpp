@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -40,6 +41,13 @@ void encode_command(wire::Writer& w, const Command& cmd) {
   w.f64(cmd.enqueued_at);
 }
 
+/// The entry of `attr` in an attr-sorted value row, or where it belongs.
+auto find_attr(auto& row, AttrId attr) {
+  return std::lower_bound(
+      row.begin(), row.end(), attr,
+      [](const auto& entry, AttrId a) { return entry.attr < a; });
+}
+
 Command decode_command(wire::Reader& r) {
   Command cmd;
   cmd.kind = static_cast<CommandKind>(r.u8());
@@ -62,7 +70,8 @@ Command decode_command(wire::Reader& r) {
 MonitoringDaemon::MonitoringDaemon(SystemModel global, DaemonOptions options)
     : options_(std::move(options)),
       system_(std::move(global), options_.federation),
-      bus_(options_.bus) {
+      bus_(options_.bus),
+      latest_values_(system_.system().num_nodes() + 1) {
   REMO_ASSERT(options_.epoch_duration > 0.0, "epoch duration must be positive");
   if (obs::enabled()) {
     obs::Registry& reg = obs::registry_or_global(options_.metrics);
@@ -125,20 +134,28 @@ Admission MonitoringDaemon::submit_control(ControlKind control) {
 void MonitoringDaemon::apply(Command& cmd, std::uint64_t& values_this_epoch) {
   ++stats_.commands_applied;
   switch (cmd.kind) {
-    case CommandKind::kValues:
+    case CommandKind::kValues: {
+      // LivenessTracker::on_delivery reads only the node, and a repeat
+      // within the epoch changes nothing: one delivery per run of equal
+      // node ids.
+      NodeId delivered = kNoNode;
       for (const ValueUpdate& v : cmd.values) {
         if (v.node == kCollectorId || v.node > system_.system().num_nodes()) {
           ++stats_.values_invalid;
           continue;
         }
         const NodeAttrPair pair{v.node, v.attr};
-        latest_values_[pair] = v.value;
-        system_.on_delivery(pair, epoch_);
+        store_value(pair, v.value, /*overwrite=*/true);
+        if (v.node != delivered) {
+          system_.on_delivery(pair, epoch_);
+          delivered = v.node;
+        }
         pending_latency_.emplace_back(pair, cmd.enqueued_at);
         ++values_this_epoch;
         ++stats_.values_applied;
       }
       break;
+    }
     case CommandKind::kAddTask:
       cmd.task.id = 0;  // the facade assigns ids in apply (FIFO) order
       system_.add_task(std::move(cmd.task));
@@ -206,11 +223,15 @@ void MonitoringDaemon::emit_epoch(double now_end,
     collected_ = system_.collected_pairs(now_end);
     collected_generation_ = gen;
     collected_valid_ = true;
+    collected_begin_.assign(latest_values_.size() + 1, 0);
+    for (const NodeAttrPair& p : collected_) ++collected_begin_[p.node + 1];
+    std::partial_sum(collected_begin_.begin(), collected_begin_.end(),
+                     collected_begin_.begin());
   }
   stats_.pairs_emitted += collected_.size();
 
   for (const auto& [pair, enqueued_at] : pending_latency_) {
-    if (!std::binary_search(collected_.begin(), collected_.end(), pair))
+    if (!collected(pair))
       continue;  // pair not in the plan — the value was never deliverable
     ++stats_.values_collected;
     if (metrics_.ingest_to_collected != nullptr)
@@ -267,9 +288,27 @@ void MonitoringDaemon::emit_stream(const std::uint8_t* data,
   options_.sink(data, size);
 }
 
+void MonitoringDaemon::store_value(NodeAttrPair pair, double value,
+                                   bool overwrite) {
+  ValueRow& row = latest_values_[pair.node];
+  const auto it = find_attr(row, pair.attr);
+  if (it == row.end() || it->attr != pair.attr)
+    row.insert(it, AttrValue{pair.attr, value});
+  else if (overwrite)
+    it->value = value;
+}
+
+bool MonitoringDaemon::collected(NodeAttrPair pair) const {
+  const NodeAttrPair* pairs = collected_.data();
+  return std::binary_search(pairs + collected_begin_[pair.node],
+                            pairs + collected_begin_[pair.node + 1], pair);
+}
+
 double MonitoringDaemon::value_of(NodeAttrPair pair) const {
-  const auto it = latest_values_.find(pair);
-  return it == latest_values_.end() ? 0.0 : it->second;
+  if (pair.node >= latest_values_.size()) return 0.0;
+  const ValueRow& row = latest_values_[pair.node];
+  const auto it = find_attr(row, pair.attr);
+  return it == row.end() || it->attr != pair.attr ? 0.0 : it->value;
 }
 
 std::vector<std::uint8_t> MonitoringDaemon::snapshot() {
@@ -277,11 +316,15 @@ std::vector<std::uint8_t> MonitoringDaemon::snapshot() {
   encode_system(payload, system_, now());
 
   payload.u64(epoch_);
-  payload.u64(latest_values_.size());
-  for (const auto& [pair, value] : latest_values_) {
-    payload.u32(pair.node);
-    payload.u32(pair.attr);
-    payload.f64(value);
+  std::uint64_t nvalues = 0;
+  for (const ValueRow& row : latest_values_) nvalues += row.size();
+  payload.u64(nvalues);
+  for (NodeId node = 0; node < latest_values_.size(); ++node) {
+    for (const AttrValue& v : latest_values_[node]) {
+      payload.u32(node);
+      payload.u32(v.attr);
+      payload.f64(v.value);
+    }
   }
   payload.u64(stats_.epochs);
   payload.u64(stats_.commands_applied);
@@ -336,13 +379,19 @@ void MonitoringDaemon::restore(const std::vector<std::uint8_t>& image) {
   REMO_ASSERT(decode_system(p, system_), "malformed system image in snapshot");
 
   epoch_ = p.u64();
-  latest_values_.clear();
+  for (ValueRow& row : latest_values_) row.clear();
   const std::uint64_t nvalues = p.u64();
   for (std::uint64_t i = 0; i < nvalues && p.ok(); ++i) {
     NodeAttrPair pair;
     pair.node = p.u32();
     pair.attr = p.u32();
-    latest_values_.emplace(pair, p.f64());
+    const double value = p.f64();
+    if (!p.ok()) break;
+    REMO_ASSERT(pair.node < latest_values_.size(), "snapshot value for node ",
+                pair.node, " outside the ", latest_values_.size() - 1,
+                "-node universe");
+    // The first value of a repeated pair wins.
+    store_value(pair, value, /*overwrite=*/false);
   }
   stats_.epochs = p.u64();
   stats_.commands_applied = p.u64();

@@ -20,7 +20,7 @@
 //     (property-tested over 20 seeds in tests/service/);
 //   - a daemon restored from snapshot() continues bit-identically: the
 //     image carries the system (tasks, routes, forest, throttle state),
-//     the bus (in-flight commands, token buckets), the latest-value map,
+//     the bus (in-flight commands, token buckets), the latest values,
 //     and the virtual clock.
 //
 // Task churn drains through the federation facade into the owning shard
@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -149,8 +148,8 @@ class MonitoringDaemon {
 
   // ---- snapshot/restore --------------------------------------------------
   /// Full daemon image: stream header + one kSnapshot record carrying the
-  /// system (snapshot.h), the bus, the latest-value map, the counters,
-  /// and the virtual clock.
+  /// system (snapshot.h), the bus, the latest values, the counters, and
+  /// the virtual clock.
   std::vector<std::uint8_t> snapshot();
   /// Restores from a snapshot() image into this daemon, which must have
   /// been constructed with the same SystemModel and options. Aborts on a
@@ -184,9 +183,22 @@ class MonitoringDaemon {
     obs::Histogram* ingest_to_collected = nullptr;  ///< virtual seconds
   };
 
+  /// One entry of a node's value row.
+  struct AttrValue {
+    AttrId attr = 0;
+    double value = 0.0;
+  };
+  using ValueRow = std::vector<AttrValue>;
+
   void apply(Command& cmd, std::uint64_t& values_this_epoch);
   void emit_epoch(double now_end, std::uint64_t values_this_epoch);
   void emit_stream(const std::uint8_t* data, std::size_t size);
+  /// Sets (node, attr)'s value, keeping an existing entry when `overwrite`
+  /// is false.
+  void store_value(NodeAttrPair pair, double value, bool overwrite);
+  /// Whether the current plan collects `pair` (searches the node's range
+  /// of collected_).
+  bool collected(NodeAttrPair pair) const;
 
   DaemonOptions options_;
   federation::FederatedMonitoringSystem system_;
@@ -195,12 +207,15 @@ class MonitoringDaemon {
 
   std::uint64_t epoch_ = 0;
   DaemonStats stats_;
-  /// Freshest value per pair, ordered — iteration feeds the wire stream.
-  std::map<NodeAttrPair, double> latest_values_;
+  /// Freshest value per pair: one attr-sorted row per node id, so walking
+  /// the rows in id order visits pairs in (node, attr) order.
+  std::vector<ValueRow> latest_values_;
   /// (pair, enqueue stamp) of values applied this epoch, awaiting the
   /// collected set to resolve their latency.
   std::vector<std::pair<NodeAttrPair, double>> pending_latency_;
   std::vector<NodeAttrPair> collected_;
+  /// Node n's pairs are collected_[collected_begin_[n], collected_begin_[n + 1]).
+  std::vector<std::size_t> collected_begin_;
   std::uint64_t collected_generation_ = 0;
   bool collected_valid_ = false;
   federation::FederatedMonitoringSystem::Status last_status_;

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/types.h"
 
 namespace remo::service::wire {
@@ -153,7 +154,7 @@ std::string series_header();
 /// One whitespace-separated sample line, newline-terminated.
 std::string series_line(const SeriesSample& s);
 
-/// Minimal JSON string escaping for the summary exporter.
-std::string json_escape(const std::string& s);
+/// JSON string escaping (common/json.h), kept callable under this name.
+using remo::json_escape;
 
 }  // namespace remo::service::wire

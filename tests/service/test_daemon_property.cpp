@@ -2,7 +2,9 @@
 //   - 20 seeded command sequences × K ∈ {1, 4} shards: daemon mode is
 //     bit-identical to batch mode — the same commands applied directly to
 //     a FederatedMonitoringSystem at the same virtual clock values yield
-//     the same collected pairs, status roll-up, and forest digraphs;
+//     the same collected pairs, status roll-up, and forest digraphs; with
+//     the recovery loop on, also the same RepairReport while one node's
+//     producer falls silent and resumes;
 //   - a daemon killed (snapshotted) and restored mid-run continues
 //     bit-identically (collected pairs, forests, counters), and
 //     snapshot ∘ restore is the identity on images;
@@ -15,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -101,20 +104,49 @@ EpochScript make_script(Rng& churn, std::vector<MonitoringTask>& tasks,
   return script;
 }
 
+void expect_same_report(const RepairReport& a, const RepairReport& b,
+                        const std::string& context) {
+  EXPECT_EQ(a.outages_detected, b.outages_detected) << context;
+  EXPECT_EQ(a.recoveries_detected, b.recoveries_detected) << context;
+  EXPECT_EQ(a.repair_passes, b.repair_passes) << context;
+  EXPECT_EQ(a.repair_messages, b.repair_messages) << context;
+  EXPECT_EQ(a.orphans_reattached, b.orphans_reattached) << context;
+  EXPECT_EQ(a.suspects_parked, b.suspects_parked) << context;
+  EXPECT_EQ(a.members_dropped, b.members_dropped) << context;
+  EXPECT_EQ(a.pairs_dropped, b.pairs_dropped) << context;
+  EXPECT_EQ(a.replans_after_outage, b.replans_after_outage) << context;
+  EXPECT_EQ(a.detect_lag_sum, b.detect_lag_sum) << context;
+  EXPECT_EQ(a.repair_lag_sum, b.repair_lag_sum) << context;
+}
+
+// Recovery off: four random values per epoch from one producer. Recovery
+// on: every node sends one batch of its observable attributes per epoch,
+// and one collected node's producer is silent over epochs 3..12 — long
+// enough to be suspected, repaired around and recovered. The daemon then
+// delivers once per node run while the mirror calls on_delivery per value.
 TEST(DaemonProperty, BitIdenticalToBatchModeAcrossSeedsAndShards) {
-  for (std::size_t shards : {1u, 4u}) {
+  using Case = std::pair<bool, std::size_t>;  // (recovery, shards)
+  std::size_t outages = 0, recoveries = 0;
+  for (const auto& [recovery, shards] : {Case{false, 1}, Case{false, 4},
+                                         Case{true, 1}, Case{true, 4}}) {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
       const std::size_t n = 24 + (seed % 5) * 8;
       const std::size_t universe = 16 + (seed % 3) * 4;
       const SystemModel model = make_model(n, universe, seed);
+      const std::string context = "K=" + std::to_string(shards) +
+                                  " seed=" + std::to_string(seed) +
+                                  (recovery ? " recovery" : "");
 
       obs::Registry reg_daemon, reg_batch;
       DaemonOptions options;
       options.federation = fed_options(shards, nullptr);
+      options.federation.shard.recovery.enabled = recovery;
       options.metrics = &reg_daemon;
       MonitoringDaemon daemon(model, options);
-      federation::FederatedMonitoringSystem batch(
-          model, fed_options(shards, &reg_batch));
+      federation::FederationOptions batch_options =
+          fed_options(shards, &reg_batch);
+      batch_options.shard.recovery.enabled = recovery;
+      federation::FederatedMonitoringSystem batch(model, batch_options);
 
       WorkloadGenerator gen(model, WorkloadConfig{.attr_universe = universe},
                             seed * 31);
@@ -132,11 +164,26 @@ TEST(DaemonProperty, BitIdenticalToBatchModeAcrossSeedsAndShards) {
       }
 
       Rng churn{seed * 977};
-      for (std::uint64_t e = 1; e <= 8; ++e) {
+      Rng traffic{seed * 389};
+      const std::uint64_t epochs = recovery ? 24 : 8;
+      NodeId silent = kNoNode;
+      std::uint64_t values_sent = 0;
+      for (std::uint64_t e = 1; e <= epochs; ++e) {
         const EpochScript script = make_script(churn, tasks, ids, next_id, n,
                                                universe, e, gen);
+        std::vector<std::vector<ValueUpdate>> batches;
+        if (!recovery) batches.push_back(script.values);
+        for (NodeId node = 1; recovery && node <= n; ++node) {
+          if (node == silent && e >= 3 && e <= 12) continue;
+          auto& values = batches.emplace_back();
+          for (AttrId a : model.observable(node))
+            values.push_back(ValueUpdate{node, a, traffic.uniform(0.0, 100.0)});
+        }
         // Daemon side: everything rides the bus, applied at the next tick.
-        ASSERT_TRUE(admitted(daemon.submit_values(0, script.values)));
+        for (const auto& values : batches) {
+          ASSERT_TRUE(admitted(daemon.submit_values(0, values)));
+          values_sent += values.size();
+        }
         for (const auto& m : script.modifies)
           ASSERT_TRUE(admitted(daemon.submit_modify_task(m)));
         for (TaskId id : script.removes)
@@ -146,8 +193,9 @@ TEST(DaemonProperty, BitIdenticalToBatchModeAcrossSeedsAndShards) {
         daemon.run_epoch();
 
         // Batch mirror: same commands, same order, same clock.
-        for (const ValueUpdate& v : script.values)
-          batch.on_delivery(NodeAttrPair{v.node, v.attr}, e);
+        for (const auto& values : batches)
+          for (const ValueUpdate& v : values)
+            batch.on_delivery(NodeAttrPair{v.node, v.attr}, e);
         for (const auto& m : script.modifies)
           ASSERT_TRUE(batch.modify_task(m));
         for (TaskId id : script.removes) ASSERT_TRUE(batch.remove_task(id));
@@ -157,24 +205,39 @@ TEST(DaemonProperty, BitIdenticalToBatchModeAcrossSeedsAndShards) {
 
         const double now = static_cast<double>(e);
         EXPECT_EQ(daemon.last_collected(), batch.collected_pairs(now))
-            << "K=" << shards << " seed=" << seed << " epoch=" << e;
+            << context << " epoch=" << e;
         const auto ds = daemon.last_status();
         const auto bs = batch.status(now);
-        EXPECT_EQ(ds.tasks, bs.tasks) << "K=" << shards << " seed=" << seed;
-        EXPECT_EQ(ds.pairs, bs.pairs) << "K=" << shards << " seed=" << seed;
-        EXPECT_EQ(ds.collected, bs.collected)
-            << "K=" << shards << " seed=" << seed;
-        EXPECT_EQ(ds.coverage, bs.coverage)
-            << "K=" << shards << " seed=" << seed;
-        EXPECT_EQ(ds.message_volume, bs.message_volume)
-            << "K=" << shards << " seed=" << seed;
+        EXPECT_EQ(ds.tasks, bs.tasks) << context;
+        EXPECT_EQ(ds.pairs, bs.pairs) << context;
+        EXPECT_EQ(ds.collected, bs.collected) << context;
+        EXPECT_EQ(ds.coverage, bs.coverage) << context;
+        EXPECT_EQ(ds.message_volume, bs.message_volume) << context;
+        if (recovery) {
+          expect_same_report(daemon.system().repair_report(),
+                             batch.repair_report(),
+                             context + " epoch=" + std::to_string(e));
+          EXPECT_EQ(daemon.system().export_dot(now), batch.export_dot(now))
+              << context << " epoch=" << e;
+          const auto& pairs = daemon.last_collected();
+          if (e == 1 && !pairs.empty()) silent = pairs[pairs.size() / 2].node;
+        }
       }
       // The deployed forests themselves are byte-equal.
-      EXPECT_EQ(daemon.system().export_dot(8.0), batch.export_dot(8.0))
-          << "K=" << shards << " seed=" << seed;
-      EXPECT_EQ(daemon.stats().values_applied, 8u * 4u);
+      const double end = static_cast<double>(epochs);
+      EXPECT_EQ(daemon.system().export_dot(end), batch.export_dot(end))
+          << context;
+      EXPECT_EQ(daemon.stats().values_applied, values_sent) << context;
+      if (!recovery) {
+        EXPECT_EQ(values_sent, 8u * 4u);
+      }
+      outages += daemon.system().repair_report().outages_detected;
+      recoveries += daemon.system().repair_report().recoveries_detected;
     }
   }
+  // The recovery-on input exercised the liveness loop.
+  EXPECT_GT(outages, 0u);
+  EXPECT_GT(recoveries, 0u);
 }
 
 TEST(DaemonSnapshot, RestoredDaemonContinuesBitIdentically) {

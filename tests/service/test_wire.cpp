@@ -174,6 +174,10 @@ TEST(Wire, JsonEscapeHandlesQuotesAndControls) {
   EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
   EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
   EXPECT_EQ(json_escape("a\nb"), "a\\nb");
+  EXPECT_EQ(json_escape("a\rb"), "a\\rb");
+  EXPECT_EQ(json_escape("a\bb"), "a\\bb");
+  EXPECT_EQ(json_escape("a\x01" "b"), "a\\u0001b");
+  EXPECT_EQ(json_escape("a\x1f" "b"), "a\\u001fb");
 }
 
 }  // namespace

@@ -71,10 +71,27 @@ class UnorderedIterationTest(unittest.TestCase):
         self.assertIn("unordered-iteration", rules_of(bad))
 
     def test_rule_scoped_to_order_sensitive_dirs(self):
-        # Hash iteration outside the planning/tree/adapt/partition/
-        # federation paths (e.g. the collector's liveness table) is allowed.
+        # Hash iteration outside the order-sensitive paths (e.g. the stream
+        # application's operator tables) is allowed.
         self.assertNotIn("unordered-iteration",
-                         rules_of(self.BAD, relpath="collector/snippet.cpp"))
+                         rules_of(self.BAD, relpath="streamapp/snippet.cpp"))
+
+    def test_recovery_loop_paths_are_order_sensitive(self):
+        # The liveness tracker's event order drives repair and replanning
+        # in the core facade; hash iteration in src/collector and src/core
+        # is flagged.
+        self.assertIn("unordered-iteration",
+                      rules_of(self.BAD, relpath="collector/snippet.cpp"))
+        self.assertIn("unordered-iteration",
+                      rules_of(self.BAD, relpath="core/snippet.cpp"))
+        good = """
+            void end_epoch() {
+              std::vector<int> nodes;
+              for (int n : nodes) use(n);
+            }
+        """
+        self.assertNotIn("unordered-iteration",
+                         rules_of(good, relpath="collector/snippet.cpp"))
 
     def test_service_daemon_paths_are_order_sensitive(self):
         # ISSUE 8 satellite: the daemon's wire stream, snapshot images, and
@@ -367,13 +384,13 @@ class NondetSourceTest(unittest.TestCase):
         self.assertEqual(rules_of(good), [])
 
     def test_scoped_to_order_sensitive_dirs(self):
-        # obs/ legitimately keeps a thread_local span stack; collectors may
-        # read wall clocks — neither feeds plan scores.
+        # obs/ legitimately keeps a thread_local span stack; the stream
+        # application may read wall clocks — neither feeds plan scores.
         ok = "thread_local std::vector<LiveSpan> t_live_spans;"
         self.assertNotIn("nondet-source", rules_of(ok, relpath="obs/snippet.cpp"))
         self.assertNotIn("nondet-source",
                          rules_of("auto t = std::chrono::system_clock::now();",
-                                  relpath="collector/snippet.cpp"))
+                                  relpath="streamapp/snippet.cpp"))
 
     def test_allow_with_reason_waives(self):
         code = """

@@ -10,7 +10,7 @@ convention, not a language rule.
 Rules
 -----
   unordered-iteration  Range-for over a std::unordered_{map,set} in the
-                       planning/tree/adaptation paths. Hash iteration order
+                       ORDER_SENSITIVE_DIRS below. Hash iteration order
                        is libstdc++-version- and seed-dependent; any plan
                        derived from it breaks the bit-identical-plan
                        guarantee (DESIGN.md §10). Lookups are fine;
@@ -91,10 +91,12 @@ CXX_SUFFIXES = {".h", ".hpp", ".cc", ".cpp", ".cxx"}
 # leak into plans: the planner search, the tree kernel, the adaptation /
 # repair loop, partition manipulation, the federation routing paths
 # (shard assignment and subtask ordering must be bit-deterministic, see
-# DESIGN.md §12), and the service daemon (its wire stream, snapshots, and
-# drain order underwrite the daemon-vs-batch bit-identity of DESIGN.md §14).
+# DESIGN.md §12), the service daemon (its wire stream, snapshots, and
+# drain order underwrite the daemon-vs-batch bit-identity of DESIGN.md §14),
+# and the failure-recovery loop: the collector's liveness events and the
+# core facade that turns them into repair passes and replans.
 ORDER_SENSITIVE_DIRS = ("planner", "tree", "adapt", "partition", "federation",
-                        "service")
+                        "service", "collector", "core")
 
 SUPPRESS_RE = re.compile(r"//\s*remo-lint:\s*allow\(([a-z-]+)\)\s*(.*)$")
 HOT_MARKER_RE = re.compile(r"//\s*REMO_HOT\b")

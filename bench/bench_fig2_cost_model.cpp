@@ -9,6 +9,7 @@
 // simulator's measured collector utilization on an actual star topology.
 #include "bench/bench_support.h"
 #include "planner/topology.h"
+#include "planner/tree_build_cache.h"
 #include "sim/simulator.h"
 
 namespace remo::bench {
@@ -32,9 +33,10 @@ void message_count_series() {
       system.set_observable(id, {0});
       pairs.add(id, 0);
     }
+    TreeBuildCache cache;
     auto topo = build_topology(system, pairs, Partition::one_set({0}),
                                AttrSpecTable{}, AllocationScheme::kOrdered,
-                               TreeBuildOptions{TreeScheme::kStar});
+                               TreeBuildOptions{TreeScheme::kStar}, cache);
     RandomWalkSource src(pairs, 1);
     SimConfig cfg;
     cfg.epochs = 30;

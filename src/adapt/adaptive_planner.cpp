@@ -164,12 +164,10 @@ std::vector<std::vector<AttrId>> AdaptivePlanner::direct_apply(
     // before we get here, so rebuilds reuse trees memoized across calls —
     // churn that re-creates a recently seen (attrs, members, budgets) build
     // is served from cache, bit-identically.
-    TreeBuildCache& cache = planner_.evaluator().cache();
     topology_ = rebuild_trees(topology_, *system_, pairs_, victims, new_sets,
                               planner_.options().attr_specs,
                               planner_.options().allocation,
-                              planner_.options().tree,
-                              cache.enabled() ? &cache : nullptr);
+                              planner_.options().tree, planner_.evaluator().cache());
   }
 
   // 2. Pair-level changes: patch surviving trees with minimum topology
@@ -194,8 +192,10 @@ std::vector<std::vector<AttrId>> AdaptivePlanner::direct_apply(
     // allocations date from build time, but the node may since have taken
     // work in other trees. Clamping avail to capacity minus other-tree
     // usage makes the within-tree feasibility checks exactly the global
-    // constraint (clamp never goes below current usage because the
-    // topology was globally valid coming in).
+    // constraint. The clamp never goes below current usage: bound is at
+    // least the usage, and so is every stored budget (rebuild budgets are
+    // floored at 0, so a tree built after repair spent the collector's
+    // planning headroom gets 0, not a negative budget).
     auto clamp = [&](NodeId v) {
       const Capacity other = topology_.node_usage(v) - tree.usage(v);
       const Capacity bound =

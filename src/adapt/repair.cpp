@@ -71,8 +71,8 @@ RepairResult repair_topology(const Topology& topo, const SystemModel& system,
     // budget before attaching anything. Unlike the DIRECT-APPLY clamp this
     // RELAXES as well as tightens: repair is the emergency path, so a tree
     // may spend every unit of capacity the rest of the forest is not
-    // using — including reserve the planner deliberately left behind
-    // (FailureRecoveryOptions::repair_headroom).
+    // using — including the collector headroom the planner deliberately
+    // left behind (MonitoringSystem's repair reserve).
     auto rebind = [&](NodeId v) {
       const Capacity other = res.topo.node_usage(v) - tree.usage(v);
       tree.set_avail(v, std::max(tree.usage(v), system.capacity(v) - other));

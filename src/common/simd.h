@@ -1,33 +1,20 @@
-// Vectorized integer kernels for the tree arena's per-attribute count rows
-// (DESIGN.md §15). Every kernel is pure integer arithmetic, so the SIMD and
-// scalar paths return bit-identical results in any lane order — this is what
-// lets the planner keep its bit-identical-plan guarantee while the kernels
-// are runtime-toggled (REMO_SIMD=0 env, or simd::set_enabled(false) in the
-// determinism property tests).
+// Integer kernels for the tree arena's per-attribute count rows
+// (DESIGN.md §15). Every kernel is a plain loop of pure integer arithmetic,
+// written to auto-vectorize under -O2; the results are exact in any lane
+// order, so a build for a wider target (-DREMO_SIMD=ON, -march=x86-64-v3)
+// plans bit-identically to the default one.
 //
 // Layout contract: the tree arena pads each count row to kU32Lanes elements
 // (kAlign bytes) and allocates the backing vectors with AlignedVector, so a
 // row never straddles more cache lines than necessary and full-width vector
 // loops need no scalar tail. Padding elements are always zero; kernels may
 // therefore run over either the logical or the padded width.
-//
-// The explicit AVX2 path is compiled only when the TU is built with AVX2
-// enabled (-DREMO_SIMD=ON / -march=x86-64-v3); otherwise the portable loops
-// below are written to auto-vectorize under -O2.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <new>
 #include <vector>
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#define REMO_SIMD_AVX2 1
-#else
-#define REMO_SIMD_AVX2 0
-#endif
 
 namespace remo::simd {
 
@@ -43,21 +30,17 @@ constexpr std::size_t padded_count(std::size_t n) noexcept {
   return (n + kU32Lanes - 1) / kU32Lanes * kU32Lanes;
 }
 
-namespace detail {
-/// Runtime switch. Initialized from the REMO_SIMD environment variable
-/// ("0"/"off" disables); relaxed atomics — the toggle is a pure performance
-/// switch, results are bit-identical either way.
-extern std::atomic<bool> g_enabled;
-}  // namespace detail
-
-inline bool enabled() noexcept {
-  return detail::g_enabled.load(std::memory_order_relaxed);
+/// Whether this binary was compiled for an AVX2 target (-DREMO_SIMD=ON).
+constexpr bool compiled_with_avx2() noexcept {
+#if defined(__AVX2__)
+  return true;
+#else
+  return false;
+#endif
 }
-inline void set_enabled(bool on) noexcept {
-  detail::g_enabled.store(on, std::memory_order_relaxed);
-}
-/// Whether this binary carries the explicit AVX2 kernels at all.
-constexpr bool compiled_with_avx2() noexcept { return REMO_SIMD_AVX2 != 0; }
+/// Whether the kernels run vectorized for AVX2: the same as
+/// compiled_with_avx2(), since the build target is the only switch.
+constexpr bool enabled() noexcept { return compiled_with_avx2(); }
 
 /// Minimal C++17 aligned allocator: every allocation is kAlign-aligned, so
 /// row 0 of an AlignedVector-backed arena is aligned and — with padded
@@ -93,24 +76,6 @@ using AlignedVector = std::vector<T, AlignedAllocator<T>>;
 
 /// Σ row[0..n) as an exact 64-bit integer.
 inline std::uint64_t sum_u32(const std::uint32_t* row, std::size_t n) noexcept {
-#if REMO_SIMD_AVX2
-  if (enabled() && n >= 8) {
-    __m256i acc = _mm256_setzero_si256();
-    std::size_t m = 0;
-    for (; m + 8 <= n; m += 8) {
-      const __m256i v =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + m));
-      acc = _mm256_add_epi64(acc, _mm256_cvtepu32_epi64(_mm256_castsi256_si128(v)));
-      acc = _mm256_add_epi64(acc,
-                             _mm256_cvtepu32_epi64(_mm256_extracti128_si256(v, 1)));
-    }
-    alignas(32) std::uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    std::uint64_t s = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    for (; m < n; ++m) s += row[m];
-    return s;
-  }
-#endif
   std::uint64_t s = 0;
   for (std::size_t m = 0; m < n; ++m) s += row[m];
   return s;
@@ -118,20 +83,6 @@ inline std::uint64_t sum_u32(const std::uint32_t* row, std::size_t n) noexcept {
 
 /// Σ v[0..n) (exact; the walk-delta rows hold signed out-count deltas).
 inline std::int64_t sum_i64(const std::int64_t* v, std::size_t n) noexcept {
-#if REMO_SIMD_AVX2
-  if (enabled() && n >= 4) {
-    __m256i acc = _mm256_setzero_si256();
-    std::size_t m = 0;
-    for (; m + 4 <= n; m += 4)
-      acc = _mm256_add_epi64(
-          acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + m)));
-    alignas(32) std::int64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    std::int64_t s = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    for (; m < n; ++m) s += v[m];
-    return s;
-  }
-#endif
   std::int64_t s = 0;
   for (std::size_t m = 0; m < n; ++m) s += v[m];
   return s;
@@ -139,19 +90,6 @@ inline std::int64_t sum_i64(const std::int64_t* v, std::size_t n) noexcept {
 
 /// True iff any of v[0..n) is nonzero.
 inline bool any_nonzero_i64(const std::int64_t* v, std::size_t n) noexcept {
-#if REMO_SIMD_AVX2
-  if (enabled() && n >= 4) {
-    __m256i acc = _mm256_setzero_si256();
-    std::size_t m = 0;
-    for (; m + 4 <= n; m += 4)
-      acc = _mm256_or_si256(
-          acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + m)));
-    if (!_mm256_testz_si256(acc, acc)) return true;
-    for (; m < n; ++m)
-      if (v[m] != 0) return true;
-    return false;
-  }
-#endif
   for (std::size_t m = 0; m < n; ++m)
     if (v[m] != 0) return true;
   return false;
@@ -159,29 +97,10 @@ inline bool any_nonzero_i64(const std::int64_t* v, std::size_t n) noexcept {
 
 /// row[m] = uint32(int64(row[m]) + delta[m]) for m in [0, n) — the in-count
 /// update of a propagation hop. Deltas never underflow a live row (they are
-/// exact inverse sums of child contributions), so the narrowing cast is the
-/// same value the scalar kernel computes.
+/// exact inverse sums of child contributions), so the narrowing cast loses
+/// nothing.
 inline void add_i64_to_u32(std::uint32_t* row, const std::int64_t* delta,
                            std::size_t n) noexcept {
-#if REMO_SIMD_AVX2
-  if (enabled() && n >= 4) {
-    const __m256i pick_lo = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-    std::size_t m = 0;
-    for (; m + 4 <= n; m += 4) {
-      const __m128i r = _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + m));
-      const __m256i wide = _mm256_add_epi64(
-          _mm256_cvtepu32_epi64(r),
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(delta + m)));
-      const __m256i packed = _mm256_permutevar8x32_epi32(wide, pick_lo);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(row + m),
-                       _mm256_castsi256_si128(packed));
-    }
-    for (; m < n; ++m)
-      row[m] = static_cast<std::uint32_t>(static_cast<std::int64_t>(row[m]) +
-                                          delta[m]);
-    return;
-  }
-#endif
   for (std::size_t m = 0; m < n; ++m)
     row[m] =
         static_cast<std::uint32_t>(static_cast<std::int64_t>(row[m]) + delta[m]);
@@ -191,20 +110,6 @@ inline void add_i64_to_u32(std::uint32_t* row, const std::int64_t* delta,
 /// row from an unsigned out-count row.
 inline void load_i64_from_u32(std::int64_t* dst, const std::uint32_t* src,
                               std::size_t n, std::int64_t sign) noexcept {
-#if REMO_SIMD_AVX2
-  if (enabled() && n >= 4) {
-    std::size_t m = 0;
-    for (; m + 4 <= n; m += 4) {
-      const __m128i s = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + m));
-      const __m256i wide = _mm256_cvtepu32_epi64(s);
-      const __m256i neg = _mm256_sub_epi64(_mm256_setzero_si256(), wide);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + m),
-                          sign < 0 ? neg : wide);
-    }
-    for (; m < n; ++m) dst[m] = sign * static_cast<std::int64_t>(src[m]);
-    return;
-  }
-#endif
   for (std::size_t m = 0; m < n; ++m) dst[m] = sign * static_cast<std::int64_t>(src[m]);
 }
 

@@ -39,6 +39,13 @@ struct RecoveryMetrics {
   }
 };
 
+/// Fraction of the collector's capacity withheld from the planner and
+/// reserved for repair: parked probe links and re-homed orphans attach into
+/// this slack. Without the reserve the optimizer packs the collector tight
+/// and a post-outage replan cannot re-park the suspects — their pairs would
+/// be dropped until the outage ends.
+constexpr double kRepairHeadroom = 0.1;
+
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
@@ -57,10 +64,8 @@ MonitoringSystem::MonitoringSystem(SystemModel system,
 SystemModel& MonitoringSystem::refresh_planning_system() {
   planning_system_ = system_;
   if (options_.recovery.enabled) {
-    const Capacity cap = system_.capacity(kCollectorId);
-    const double keep =
-        std::clamp(1.0 - options_.recovery.repair_headroom, 0.0, 1.0);
-    planning_system_.set_collector_capacity(cap * keep);
+    planning_system_.set_collector_capacity(system_.capacity(kCollectorId) *
+                                            (1.0 - kRepairHeadroom));
   }
   return planning_system_;
 }
@@ -195,9 +200,10 @@ void MonitoringSystem::ensure_planned(double now) {
       TaskDelta pending = std::move(pending_delta_);
       pending_delta_ = TaskDelta{};
       delta_dirty_ = false;
-      // The planner's pair set leaves out the suspects the last post-outage
-      // replan planned around; their pairs rejoin it at the replan after
-      // they recover, so churn on them stays out of it until then.
+      // The planner's pair set leaves out the suspects the last
+      // plan_from_scratch planned around; their pairs rejoin it at the
+      // replan after they recover, so churn on them stays out of it until
+      // then.
       if (!planned_around_.empty()) {
         auto around = [this](const NodeAttrPair& p) {
           return std::binary_search(planned_around_.begin(),
@@ -228,7 +234,6 @@ void MonitoringSystem::ensure_planned(double now) {
 
   pending_delta_ = TaskDelta{};
   delta_dirty_ = false;
-  planned_around_.clear();  // the full rebuild plans every pair
   RewriteState state = rebuild_internal_tasks();
   const PairSet pairs = manager_.dedup(system_.num_vertices());
 
@@ -238,7 +243,7 @@ void MonitoringSystem::ensure_planned(double now) {
         planner_.has_value() ? planner_->topology() : Topology{};
     planner_.emplace(refresh_planning_system(), state.planner_options,
                      options_.adaptation);
-    planner_->initialize(pairs, now);
+    plan_from_scratch(pairs, now);
     if (!previous.entries().empty()) {
       const std::size_t moved = edge_diff(previous, planner_->topology());
       if (moved > 0) {
@@ -248,7 +253,8 @@ void MonitoringSystem::ensure_planned(double now) {
     }
     constraint_signature_ = state.signature;
   } else {
-    const auto report = planner_->apply_update(pairs, now);
+    // The suspects planned around stay out, as on the delta path.
+    const auto report = planner_->apply_update(without_planned_around(pairs), now);
     if (report.adaptation_messages > 0) {
       ++adaptations_;
       adaptation_messages_ += report.adaptation_messages;
@@ -391,26 +397,8 @@ bool MonitoringSystem::reoptimize_after_outage(std::uint64_t epoch) {
   const auto start = std::chrono::steady_clock::now();
   const double now = static_cast<double>(epoch);
   const Topology before = planner_->topology();
-  const PairSet pairs = manager_.dedup(system_.num_vertices());
-  // Plan *around* the outage: suspects are removed from the planned pair
-  // set so the optimizer cannot draft a dead node as a relay (planning it
-  // in and then surgically breaking the plan would re-orphan whole
-  // subtrees and drop their pairs all over again). Their pairs are parked
-  // back afterwards as probe leaves against the full system model — the
-  // headroom the planner left behind is exactly that budget.
-  planned_around_ = liveness_.suspected();
   refresh_planning_system();
-  planner_->initialize(without_planned_around(pairs), now);
-  if (!planned_around_.empty()) {
-    Topology patched = planner_->topology();
-    const RepairOutcome parked =
-        park_members(patched, system_, planned_around_, pairs);
-    patched.set_total_pairs(pairs.total_pairs());
-    repair_report_.suspects_parked += parked.suspects_parked;
-    repair_report_.members_dropped += parked.members_dropped;
-    repair_report_.pairs_dropped += parked.pairs_dropped;
-    planner_->adopt(std::move(patched), now);
-  }
+  plan_from_scratch(manager_.dedup(system_.num_vertices()), now);
   ++repair_report_.replans_after_outage;
   REMO_VALIDATE(planner_->topology().validate(system_),
                 "post-outage replan topology violates capacity at epoch ", epoch,
@@ -426,6 +414,25 @@ bool MonitoringSystem::reoptimize_after_outage(std::uint64_t epoch) {
     metrics.replan_seconds->observe(seconds_since(start));
   }
   return moved > 0;
+}
+
+void MonitoringSystem::plan_from_scratch(const PairSet& pairs, double now) {
+  // Plan *around* the outage: suspects are removed from the planned pair
+  // set so the optimizer cannot draft a dead node as a relay (planning it
+  // in and then surgically breaking the plan would re-orphan whole
+  // subtrees and drop their pairs all over again). Their pairs are parked
+  // back afterwards as probe leaves against the full system model — the
+  // headroom the planner left behind is exactly that budget.
+  planned_around_ = liveness_.suspected();
+  planner_->initialize(without_planned_around(pairs), now);
+  if (planned_around_.empty()) return;
+  Topology patched = planner_->topology();
+  const RepairOutcome parked = park_members(patched, system_, planned_around_, pairs);
+  patched.set_total_pairs(pairs.total_pairs());
+  repair_report_.suspects_parked += parked.suspects_parked;
+  repair_report_.members_dropped += parked.members_dropped;
+  repair_report_.pairs_dropped += parked.pairs_dropped;
+  planner_->adopt(std::move(patched), now);
 }
 
 PairSet MonitoringSystem::without_planned_around(PairSet pairs) const {

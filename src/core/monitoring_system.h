@@ -43,12 +43,6 @@ struct FailureRecoveryOptions {
   /// Quiet epochs (no detect/recover events) before the degraded topology
   /// is re-optimized by a full replan.
   std::uint64_t stabilize_epochs = 8;
-  /// Fraction of the collector's capacity withheld from the planner and
-  /// reserved for repair: parked probe links and re-homed orphans attach
-  /// into this slack. Without the reserve the optimizer packs the
-  /// collector tight and a post-outage replan cannot re-park the
-  /// suspects — their pairs would be dropped until the outage ends.
-  double repair_headroom = 0.1;
   /// Observability hooks (drive bench_failure_recovery): every liveness
   /// edge, and every repair pass with the epoch it ran in.
   std::function<void(const LivenessEvent&)> on_detect;
@@ -70,21 +64,18 @@ struct RepairReport {
   /// Pairs lost during outages (no feasible re-attach point).
   std::size_t pairs_dropped = 0;
   std::size_t replans_after_outage = 0;
-  /// Epoch sums behind the means below (one addend per down event).
+  /// Epoch sums, one addend per down event: from a node's first missed
+  /// delivery deadline to its detection, and to the repair pass that
+  /// re-homed its orphans (repair runs in the detection epoch, so the two
+  /// coincide today).
   std::uint64_t detect_lag_sum = 0;
   std::uint64_t repair_lag_sum = 0;
 
   /// Mean epochs from a node's first missed delivery deadline to its
-  /// detection, and to the repair pass that re-homed its orphans (repair
-  /// runs in the detection epoch, so the two coincide today).
+  /// detection.
   double mean_detect_epochs() const {
     return outages_detected == 0 ? 0.0
                                  : static_cast<double>(detect_lag_sum) /
-                                       static_cast<double>(outages_detected);
-  }
-  double mean_repair_epochs() const {
-    return outages_detected == 0 ? 0.0
-                                 : static_cast<double>(repair_lag_sum) /
                                        static_cast<double>(outages_detected);
   }
 };
@@ -149,7 +140,8 @@ class MonitoringSystem {
   /// The current monitoring topology; replans if tasks changed. `now` is
   /// the caller's clock (same unit across calls), driving the throttle.
   const Topology& topology(double now = 0.0);
-  /// Force a full from-scratch replan regardless of the adaptation scheme.
+  /// Force a full from-scratch replan regardless of the adaptation scheme
+  /// (around the current suspects, like every plan from scratch).
   void replan(double now = 0.0);
 
   /// The identities of the pairs the current topology collects, sorted by
@@ -237,7 +229,6 @@ class MonitoringSystem {
   std::string export_dot(double now = 0.0);
   std::string export_json(double now = 0.0);
   const SystemModel& system() const noexcept { return system_; }
-  SystemModel& mutable_system() noexcept { return system_; }
   const TaskManager& tasks() const noexcept { return manager_; }
 
  private:
@@ -261,11 +252,18 @@ class MonitoringSystem {
            task.reliability == ReliabilityMode::kNone;
   }
   /// The system model the planner optimizes against: identical to the
-  /// real one, except the collector keeps `repair_headroom` in reserve
+  /// real one, except the collector keeps a repair headroom in reserve
   /// when the recovery loop is on (repair itself uses the real model).
   SystemModel& refresh_planning_system();
-  /// Post-outage re-optimization: full replan, then re-park any nodes
-  /// still suspected. Returns true if links changed.
+  /// The one way to plan from scratch while suspects may exist (the first
+  /// plan, a constraint-signature rebuild, replan(), the post-outage
+  /// replan): records the current suspects in planned_around_, initializes
+  /// the planner on `pairs` without their pairs, parks them back as probe
+  /// leaves and adopts the result — a still-down node is never drafted as
+  /// a relay.
+  void plan_from_scratch(const PairSet& pairs, double now);
+  /// Post-outage re-optimization: plan_from_scratch plus the outage
+  /// accounting. Returns true if links changed.
   bool reoptimize_after_outage(std::uint64_t epoch);
   /// `pairs` without the pairs of the planned_around_ nodes.
   PairSet without_planned_around(PairSet pairs) const;
@@ -313,9 +311,10 @@ class MonitoringSystem {
   /// generation_ at the end_epoch() sync of liveness_ (0: never synced;
   /// a planned system's generation is at least 1).
   std::uint64_t liveness_generation_ = 0;
-  /// Suspects the last post-outage replan planned around (sorted): the
-  /// planner's pair set is the manager's dedup set without their pairs,
-  /// until a replan or rebuild plans every pair again.
+  /// Suspects the last plan_from_scratch planned around (sorted): the
+  /// planner's pair set is the manager's dedup set without their pairs
+  /// until the next plan_from_scratch, on the delta and the full update
+  /// path alike.
   std::vector<NodeId> planned_around_;
   RepairReport repair_report_;
   std::uint64_t last_event_epoch_ = 0;

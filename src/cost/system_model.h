@@ -24,7 +24,6 @@ class SystemModel {
   std::size_t num_vertices() const noexcept { return num_nodes_ + 1; }
 
   const CostModel& cost() const noexcept { return cost_; }
-  void set_cost(CostModel cost) noexcept { cost_ = cost; }
 
   Capacity capacity(NodeId id) const { return capacity_.at(id); }
   void set_capacity(NodeId id, Capacity b) { capacity_.at(id) = b; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "obs/metrics.h"
 
 namespace remo::obs {
@@ -44,13 +43,6 @@ void TraceRecorder::commit(SpanRecord record,
     // start_s must be derived under the lock: clear() moves the epoch, and
     // an unguarded read here raced it (caught by annotation, PR 10).
     record.start_s = since_epoch(start);
-    if (log_spans_.load(std::memory_order_relaxed)) {
-      lock.unlock();
-      REMO_DEBUG() << "span " << record.name << " id=" << record.id
-                   << " parent=" << record.parent << " start=" << record.start_s
-                   << "s dur=" << record.duration_s << "s";
-      lock.lock();
-    }
     if (ring_.size() < capacity_) {
       ring_.push_back(std::move(record));
       return;

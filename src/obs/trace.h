@@ -57,13 +57,6 @@ class TraceRecorder {
   /// epoch, under the same lock that moved it — see commit()).
   void clear() REMO_EXCLUDES(mutex_);
 
-  /// Mirror every completed span onto the log stream (REMO_DEBUG), so
-  /// trace events and log lines interleave on whatever sink
-  /// common/logging routes to.
-  void set_log_spans(bool on) noexcept {
-    log_spans_.store(on, std::memory_order_relaxed);
-  }
-
   /// The process-global default instance.
   static TraceRecorder& global();
 
@@ -90,7 +83,6 @@ class TraceRecorder {
   std::size_t dropped_ REMO_GUARDED_BY(mutex_) = 0;
   std::chrono::steady_clock::time_point epoch_ REMO_GUARDED_BY(mutex_);
   std::atomic<std::uint64_t> next_id_{0};
-  std::atomic<bool> log_spans_{false};
 };
 
 /// RAII scope: records one span from construction to destruction. Inert

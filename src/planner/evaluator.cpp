@@ -67,8 +67,8 @@ struct PlanEvaluator::Counters {
 PlanEvaluator::PlanEvaluator(const SystemModel& system, PlannerOptions options)
     : system_(&system),
       options_(std::move(options)),
+      cache_(options_.memoize_builds),
       counters_(std::make_unique<Counters>()) {
-  cache_.set_enabled(options_.memoize_builds);
   obs::Registry& reg = obs::registry_or_global(options_.metrics);
   counters_->evaluations = &reg.counter("planner.candidates_evaluated");
   counters_->cache_hits = &reg.counter("planner.cache_hits");
@@ -120,8 +120,7 @@ Topology PlanEvaluator::build_full(const PairSet& pairs, const Partition& partit
   const Counters::CacheWindow cache_window(*counters_, cache_);
   const auto start = std::chrono::steady_clock::now();
   Topology topo = build_topology(*system_, pairs, partition, options_.attr_specs,
-                                 options_.allocation, options_.tree,
-                                 cache_.enabled() ? &cache_ : nullptr);
+                                 options_.allocation, options_.tree, cache_);
   counters_->evaluations->add(1);
   counters_->build_seconds->add(seconds_since(start));
   return topo;
@@ -133,18 +132,18 @@ Topology PlanEvaluator::rebuild_candidate(const Topology& base, const Partition&
   const AugmentationFootprint fp = footprint(p, aug);
   return rebuild_trees(base, *system_, pairs, fp.victims, fp.new_sets,
                        options_.attr_specs, options_.allocation, options_.tree,
-                       cache_.enabled() ? &cache_ : nullptr);
+                       cache_);
 }
 
 PlanScore PlanEvaluator::score_candidate(const Topology& base, const Partition& p,
                                          const PairSet& pairs,
                                          const Augmentation& aug,
-                                         RebuildScratch* scratch) {
+                                         RebuildScratch& scratch) {
   const AugmentationFootprint fp = footprint(p, aug);
   const RebuildScore s = rebuild_score(base, *system_, pairs, fp.victims,
                                        fp.new_sets, options_.attr_specs,
-                                       options_.allocation, options_.tree,
-                                       cache_.enabled() ? &cache_ : nullptr, scratch);
+                                       options_.allocation, options_.tree, cache_,
+                                       scratch);
   return PlanScore{s.collected, s.cost};
 }
 
@@ -169,27 +168,9 @@ PlanEvaluator::Result PlanEvaluator::materialize(
     const Topology& base, const Partition& p, const PairSet& pairs,
     const std::vector<Augmentation>& candidates, std::size_t index,
     const PlanScore& score) {
-  // With the cache on this re-serves the builds the scoring pass just did;
-  // with it off, one extra build per committed operation.
+  // With memoize_builds this re-serves the builds the scoring pass just
+  // did; without, one extra build per committed operation.
   return Result{rebuild_candidate(base, p, pairs, candidates[index]), score, index};
-}
-
-std::vector<PlanEvaluator::Result> PlanEvaluator::evaluate_all(
-    const Topology& base, const PairSet& pairs,
-    const std::vector<Augmentation>& candidates) {
-  const obs::Span span("planner.evaluate");
-  const Counters::CacheWindow cache_window(*counters_, cache_);
-  const auto start = std::chrono::steady_clock::now();
-  const Partition p = base.partition();  // sets in entry order
-  std::vector<Result> results(candidates.size());
-  for_each_blocked(candidates.size(), [&](std::size_t i, RebuildScratch&) {
-    Topology topo = rebuild_candidate(base, p, pairs, candidates[i]);
-    results[i] = Result{std::move(topo), PlanScore{}, i};
-    results[i].score = score_of(results[i].topo);
-  });
-  counters_->evaluations->add(candidates.size());
-  counters_->evaluate_seconds->add(seconds_since(start));
-  return results;
 }
 
 std::optional<PlanEvaluator::Result> PlanEvaluator::best_improving(
@@ -201,7 +182,7 @@ std::optional<PlanEvaluator::Result> PlanEvaluator::best_improving(
   const Partition p = base.partition();
   std::vector<PlanScore> scores(candidates.size());
   for_each_blocked(candidates.size(), [&](std::size_t i, RebuildScratch& scratch) {
-    scores[i] = score_candidate(base, p, pairs, candidates[i], &scratch);
+    scores[i] = score_candidate(base, p, pairs, candidates[i], scratch);
   });
   counters_->evaluations->add(candidates.size());
 
@@ -241,7 +222,7 @@ std::optional<PlanEvaluator::Result> PlanEvaluator::first_improving(
     const std::size_t end = std::min(begin + chunk, budget);
     std::vector<PlanScore> scores(end - begin);
     for_each_blocked(scores.size(), [&](std::size_t i, RebuildScratch& scratch) {
-      scores[i] = score_candidate(base, p, pairs, candidates[begin + i], &scratch);
+      scores[i] = score_candidate(base, p, pairs, candidates[begin + i], scratch);
     });
     evaluated += scores.size();
     for (std::size_t i = 0; i < scores.size(); ++i) {

@@ -99,13 +99,6 @@ class PlanEvaluator {
   /// endpoint guard). Counts one evaluation.
   Topology build_full(const PairSet& pairs, const Partition& partition);
 
-  /// Evaluates every candidate against `base` concurrently, materializing
-  /// each resulting topology; results are in candidate order. The search
-  /// paths below avoid this: they score candidates without materializing
-  /// (topology.h rebuild_score) and materialize only the winner.
-  std::vector<Result> evaluate_all(const Topology& base, const PairSet& pairs,
-                                   const std::vector<Augmentation>& candidates);
-
   /// Best-of-candidates commit rule: the lowest-ranked candidate achieving
   /// the best strictly-improving score over `current` (identical to the
   /// serial scan that keeps the first strict improvement of the running
@@ -140,7 +133,7 @@ class PlanEvaluator {
                              const PairSet& pairs, const Augmentation& aug);
   PlanScore score_candidate(const Topology& base, const Partition& p,
                             const PairSet& pairs, const Augmentation& aug,
-                            RebuildScratch* scratch);
+                            RebuildScratch& scratch);
   /// Block dispatcher for the scoring loops: runs fn(i, scratch) for every
   /// i in [0, n), one pool task per contiguous rank-block of
   /// kCandidateBlockSize candidates (evaluator.cpp). The scratch is
@@ -151,7 +144,7 @@ class PlanEvaluator {
   void for_each_blocked(std::size_t n,
                         const std::function<void(std::size_t, RebuildScratch&)>& fn);
   /// Materializes the scored winner; exact by construction (the score path
-  /// runs the identical builds, memoized when the cache is on).
+  /// runs the identical lookup-or-build steps).
   Result materialize(const Topology& base, const Partition& p, const PairSet& pairs,
                      const std::vector<Augmentation>& candidates, std::size_t index,
                      const PlanScore& score);

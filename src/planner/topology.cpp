@@ -1,9 +1,9 @@
 #include "planner/topology.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 #include "common/sorted_vector.h"
 #include "planner/tree_build_cache.h"
@@ -11,7 +11,6 @@
 namespace remo {
 
 namespace {
-constexpr double kEps = 1e-9;
 
 /// Advisory-share bookkeeping for UNIFORM / PROPORTIONAL allocation
 /// (Sec. 5.2), computed over the full target partition.
@@ -108,60 +107,6 @@ Capacity unconstrained_bound(const CostModel& cost,
          1.0;
 }
 
-/// Shared prologue of build_entry / score_entry: the tree's attribute
-/// specs and the offered items with their effective budgets. Fills
-/// caller-owned vectors (the scoring path reuses per-thread scratch).
-/// With a cache, the pair-set part (member list + local counts) comes from
-/// the cache's items template — same values, computed once per attribute
-/// set instead of once per candidate.
-void fill_entry_inputs(const SystemModel& system, const PairSet& pairs,
-                       const std::vector<AttrId>& attrs, const AttrSpecTable& specs,
-                       const std::vector<Capacity>& remaining,
-                       AllocationScheme scheme, const ShareInfo& shares,
-                       std::size_t tree_idx, BuildPass pass, TreeBuildCache* cache,
-                       std::vector<TreeAttrSpec>& tree_attrs,
-                       std::vector<BuildItem>& items, std::size_t& offered,
-                       Capacity& collector_avail) {
-  tree_attrs.clear();
-  tree_attrs.reserve(attrs.size());
-  for (AttrId a : attrs) tree_attrs.push_back(specs.tree_spec(a));
-
-  items.clear();
-  offered = 0;
-  if (cache != nullptr && cache->enabled()) {
-    const auto* t = cache->items_template(attrs, pairs);
-    offered = t->offered;
-    items.resize(t->nodes.size());
-    for (std::size_t i = 0; i < t->nodes.size(); ++i) {
-      const NodeId n = t->nodes[i];
-      BuildItem& item = items[i];
-      item.id = n;
-      const auto row = t->local.begin() + static_cast<std::ptrdiff_t>(i * attrs.size());
-      item.local.assign(row, row + static_cast<std::ptrdiff_t>(attrs.size()));
-      item.avail =
-          std::min(remaining[n], advisory_share(scheme, n, system.capacity(n),
-                                                shares, tree_idx, pass));
-    }
-  } else {
-    for (NodeId n : pairs.nodes_with_any(attrs)) {
-      BuildItem item;
-      item.id = n;
-      item.local.resize(attrs.size());
-      for (std::size_t m = 0; m < attrs.size(); ++m)
-        item.local[m] = pairs.contains(n, attrs[m]) ? 1u : 0u;
-      offered += item.local_total();
-      item.avail =
-          std::min(remaining[n], advisory_share(scheme, n, system.capacity(n),
-                                                shares, tree_idx, pass));
-      items.push_back(std::move(item));
-    }
-  }
-  collector_avail =
-      std::min(remaining[kCollectorId],
-               advisory_share(scheme, kCollectorId, system.capacity(kCollectorId),
-                              shares, tree_idx, pass));
-}
-
 TreeBuildKey make_cache_key(const CostModel& cost, const std::vector<AttrId>& attrs,
                             const std::vector<TreeAttrSpec>& tree_attrs,
                             const std::vector<BuildItem>& items,
@@ -179,48 +124,83 @@ TreeBuildKey make_cache_key(const CostModel& cost, const std::vector<AttrId>& at
   return key;
 }
 
-/// Builds the tree for `attrs` given per-node remaining budgets.
-TreeEntry build_entry(const SystemModel& system, const PairSet& pairs,
-                      const std::vector<AttrId>& attrs, const AttrSpecTable& specs,
-                      const TreeBuildOptions& tree_opts,
-                      const std::vector<Capacity>& remaining,
-                      AllocationScheme scheme, const ShareInfo& shares,
-                      std::size_t tree_idx, BuildPass pass,
-                      TreeBuildCache* cache) {
-  std::vector<TreeAttrSpec> tree_attrs;
-  std::vector<BuildItem> items;
-  std::size_t offered = 0;
-  Capacity collector_avail = 0;
-  fill_entry_inputs(system, pairs, attrs, specs, remaining, scheme, shares,
-                    tree_idx, pass, cache, tree_attrs, items, offered,
-                    collector_avail);
+/// What every tree build of one forest (re)build shares.
+struct BuildContext {
+  const SystemModel& system;
+  const PairSet& pairs;
+  const AttrSpecTable& specs;
+  const TreeBuildOptions& tree_opts;
+  AllocationScheme scheme;
+  const ShareInfo& shares;
+  BuildPass pass;
+  TreeBuildCache& cache;
+};
 
-  if (cache != nullptr && cache->enabled()) {
-    TreeBuildKey key =
-        make_cache_key(system.cost(), attrs, tree_attrs, items, collector_avail);
-    if (auto hit = cache->find(key)) {
-      // The cached tree's structure and loads are exactly what a fresh
-      // build would produce (the key captures every input the builder
-      // sees), but its stored budgets are the *creator's*. Rewrite them to
-      // this request's, so a hit is indistinguishable from a build.
-      TreeEntry entry = std::move(*hit);
-      entry.tree.set_avail(kCollectorId, collector_avail);
-      for (const auto& it : items)
-        if (entry.tree.contains(it.id)) entry.tree.set_avail(it.id, it.avail);
-      return entry;
-    }
-    auto built = build_tree(std::move(tree_attrs), std::move(items),
-                            collector_avail, system.cost(), tree_opts);
-    TreeEntry entry{attrs, std::move(built.tree), offered, 0};
-    entry.collected_pairs = entry.tree.collected_pairs();
-    cache->insert(key, entry);
-    return entry;
+// REMO_HOT: once per (re)built tree per candidate scored — the inner loop
+// of the guided search. The one lookup-or-build step of every tree build,
+// materialized (build_entry) or scored (rebuild_score). Fills the tree's
+// attribute specs and offered items with their effective budgets (capped
+// by `sc.remaining`) into `sc`; the member list and local counts come from
+// the cache's items template, computed once per attribute set. Then keys
+// the inputs and returns the cached entry in place on a hit — `sc.items`
+// and `collector_avail` still hold this request's budgets. A miss builds
+// the tree into `built`, inserts it and returns it.
+const TreeEntry& lookup_or_build(const BuildContext& ctx,
+                                 const std::vector<AttrId>& attrs,
+                                 std::size_t tree_idx, RebuildScratch& sc,
+                                 Capacity& collector_avail,
+                                 std::optional<TreeEntry>& built) {
+  sc.tree_attrs.clear();
+  sc.tree_attrs.reserve(attrs.size());
+  for (AttrId a : attrs) sc.tree_attrs.push_back(ctx.specs.tree_spec(a));
+
+  const auto* t = ctx.cache.items_template(attrs, ctx.pairs);
+  sc.items.clear();
+  sc.items.resize(t->nodes.size());
+  for (std::size_t i = 0; i < t->nodes.size(); ++i) {
+    const NodeId n = t->nodes[i];
+    BuildItem& item = sc.items[i];
+    item.id = n;
+    const auto row = t->local.begin() + static_cast<std::ptrdiff_t>(i * attrs.size());
+    item.local.assign(row, row + static_cast<std::ptrdiff_t>(attrs.size()));
+    item.avail = std::min(sc.remaining[n],
+                          advisory_share(ctx.scheme, n, ctx.system.capacity(n),
+                                         ctx.shares, tree_idx, ctx.pass));
   }
+  collector_avail = std::min(
+      sc.remaining[kCollectorId],
+      advisory_share(ctx.scheme, kCollectorId, ctx.system.capacity(kCollectorId),
+                     ctx.shares, tree_idx, ctx.pass));
 
-  auto built = build_tree(std::move(tree_attrs), std::move(items), collector_avail,
-                          system.cost(), tree_opts);
-  TreeEntry entry{attrs, std::move(built.tree), offered, 0};
-  entry.collected_pairs = entry.tree.collected_pairs();
+  const CostModel& cost = ctx.system.cost();
+  const TreeBuildKey key =
+      make_cache_key(cost, attrs, sc.tree_attrs, sc.items, collector_avail);
+  if (const TreeEntry* hit = ctx.cache.peek(key)) return *hit;
+  auto tree = build_tree(std::move(sc.tree_attrs), std::move(sc.items),
+                         collector_avail, cost, ctx.tree_opts)
+                  .tree;
+  built.emplace(TreeEntry{attrs, std::move(tree), t->offered, 0});
+  built->collected_pairs = built->tree.collected_pairs();
+  ctx.cache.insert(key, *built);
+  return *built;
+}
+
+/// Materializes the tree for `attrs`. A miss hands over the fresh build. A
+/// hit is copied once: its structure and loads are exactly what a fresh
+/// build would produce (the key captures every input the builder sees),
+/// but its stored budgets are the creator's, so they are rewritten to this
+/// request's and the copy is indistinguishable from a build.
+TreeEntry build_entry(const BuildContext& ctx, const std::vector<AttrId>& attrs,
+                      std::size_t tree_idx, RebuildScratch& sc) {
+  Capacity collector_avail = 0;
+  std::optional<TreeEntry> built;
+  const TreeEntry& found =
+      lookup_or_build(ctx, attrs, tree_idx, sc, collector_avail, built);
+  if (built) return std::move(*built);
+  TreeEntry entry = found;
+  entry.tree.set_avail(kCollectorId, collector_avail);
+  for (const auto& it : sc.items)
+    if (entry.tree.contains(it.id)) entry.tree.set_avail(it.id, it.avail);
   return entry;
 }
 
@@ -230,54 +210,6 @@ TreeEntry build_entry(const SystemModel& system, const PairSet& pairs,
 // verbatim, so the subtraction sequence is unchanged.
 void charge_usage(std::vector<Capacity>& remaining, const MonitoringTree& tree) {
   tree.for_each_usage([&](NodeId n, Capacity u) { remaining[n] -= u; });
-}
-
-/// Score contribution of one (re)built tree.
-struct EntryScore {
-  std::size_t collected = 0;
-  Capacity cost = 0;
-};
-
-// REMO_HOT: once per rebuilt tree per candidate scored — the inner loop of
-// the guided search. Scoring twin of build_entry: identical inputs, build
-// decisions, and cache interaction, but a cache hit is consumed *in place*
-// (no TreeEntry copy, no budget rewrite — budgets enter neither usage nor
-// cost nor collected counts, so the score is bit-identical to the
-// materialized form), and a miss builds and inserts exactly as build_entry
-// would. Charges the tree's usage into `remaining` and returns its score.
-EntryScore score_entry(const SystemModel& system, const PairSet& pairs,
-                       const std::vector<AttrId>& attrs, const AttrSpecTable& specs,
-                       const TreeBuildOptions& tree_opts,
-                       std::vector<Capacity>& remaining, AllocationScheme scheme,
-                       const ShareInfo& shares, std::size_t tree_idx,
-                       TreeBuildCache* cache, std::vector<TreeAttrSpec>& tree_attrs,
-                       std::vector<BuildItem>& items) {
-  std::size_t offered = 0;
-  Capacity collector_avail = 0;
-  fill_entry_inputs(system, pairs, attrs, specs, remaining, scheme, shares,
-                    tree_idx, BuildPass::kRebuild, cache, tree_attrs, items,
-                    offered, collector_avail);
-
-  if (cache != nullptr && cache->enabled()) {
-    const TreeBuildKey key =
-        make_cache_key(system.cost(), attrs, tree_attrs, items, collector_avail);
-    if (const TreeEntry* hit = cache->peek(key)) {
-      charge_usage(remaining, hit->tree);
-      return {hit->collected_pairs, hit->tree.total_cost()};
-    }
-    auto built = build_tree(std::move(tree_attrs), std::move(items),
-                            collector_avail, system.cost(), tree_opts);
-    TreeEntry entry{attrs, std::move(built.tree), offered, 0};
-    entry.collected_pairs = entry.tree.collected_pairs();
-    cache->insert(key, entry);
-    charge_usage(remaining, entry.tree);
-    return {entry.collected_pairs, entry.tree.total_cost()};
-  }
-
-  auto built = build_tree(std::move(tree_attrs), std::move(items), collector_avail,
-                          system.cost(), tree_opts);
-  charge_usage(remaining, built.tree);
-  return {built.tree.collected_pairs(), built.tree.total_cost()};
 }
 
 /// Build order for the given allocation scheme over set indices.
@@ -302,6 +234,64 @@ std::vector<std::size_t> build_order(AllocationScheme scheme,
     });
   }
   return order;
+}
+
+/// The prologue rebuild_trees and rebuild_score share; the two differ only
+/// in the per-tree step. Fills `sc` with the sorted victims, the kept
+/// entry indices, the post-operation sets (kept sets in entry order, then
+/// the new sets, which take the tail indices), the remaining budgets and
+/// the new sets' build order, and returns the shares the new builds read.
+/// Kept usage accumulates in entry order from zero, so each budget is
+/// bit-identical to capacity minus node_usage() — floored at 0: repair and
+/// parking may spend collector headroom the planning model holds back, and
+/// a budget is never below 0 nor below a tree's usage.
+ShareInfo rebuild_prologue(const Topology& topo, const SystemModel& system,
+                           const PairSet& pairs,
+                           const std::vector<std::size_t>& victim_indices,
+                           const std::vector<std::vector<AttrId>>& new_sets,
+                           AllocationScheme allocation, TreeBuildCache& cache,
+                           RebuildScratch& sc) {
+  sc.victims.assign(victim_indices.begin(), victim_indices.end());
+  sort_unique(sc.victims);
+  sc.kept.clear();
+  sc.all_sets.clear();
+  sc.all_sets.reserve(topo.entries().size() - sc.victims.size() + new_sets.size());
+  sc.usage.assign(system.num_vertices(), 0);
+  for (std::size_t i = 0; i < topo.entries().size(); ++i) {
+    if (set_contains(sc.victims, i)) continue;
+    const auto& e = topo.entries()[i];
+    sc.kept.push_back(i);
+    sc.all_sets.push_back(e.attrs);
+    e.tree.for_each_usage([&](NodeId n, Capacity u) { sc.usage[n] += u; });
+  }
+  const std::size_t first_new = sc.kept.size();
+  for (const auto& s : new_sets) sc.all_sets.push_back(s);
+
+  // Demand-driven rebuilds never read the advisory shares —
+  // advisory_share() answers "unconstrained" for every vertex in the
+  // kRebuild pass — so the prologue skips the per-node share indexes over
+  // the kept sets (one nodes_with_any sweep per set otherwise) and computes
+  // only the new sets' sizes, the build-order key.
+  const bool demand_driven = allocation == AllocationScheme::kOnDemand ||
+                             allocation == AllocationScheme::kOrdered;
+  ShareInfo shares;
+  if (demand_driven) {
+    shares.tree_size.resize(sc.all_sets.size());
+    for (std::size_t k = first_new; k < sc.all_sets.size(); ++k)
+      shares.tree_size[k] = cache.items_template(sc.all_sets[k], pairs)->nodes.size();
+  } else {
+    shares = compute_shares(system, pairs, sc.all_sets);
+  }
+
+  sc.remaining.resize(system.num_vertices());
+  for (NodeId n = 0; n < system.num_vertices(); ++n)
+    sc.remaining[n] = std::max(system.capacity(n) - sc.usage[n], Capacity{0});
+
+  sc.new_sizes.resize(new_sets.size());
+  for (std::size_t k = 0; k < new_sets.size(); ++k)
+    sc.new_sizes[k] = shares.tree_size[first_new + k];
+  sc.order = build_order(allocation, sc.new_sizes);
+  return shares;
 }
 
 }  // namespace
@@ -418,19 +408,21 @@ std::vector<NodeAttrPair> collected_pairs_of(const Topology& topo) {
 Topology build_topology(const SystemModel& system, const PairSet& pairs,
                         const Partition& partition, const AttrSpecTable& specs,
                         AllocationScheme allocation, const TreeBuildOptions& tree_opts,
-                        TreeBuildCache* cache) {
+                        TreeBuildCache& cache) {
   Topology topo;
   topo.set_total_pairs(pairs.total_pairs());
   const auto& sets = partition.sets();
   const ShareInfo shares = compute_shares(system, pairs, sets);
+  const BuildContext ctx{system, pairs, specs, tree_opts, allocation,
+                         shares, BuildPass::kInitial, cache};
 
-  std::vector<Capacity> remaining(system.num_vertices());
-  for (NodeId n = 0; n < system.num_vertices(); ++n) remaining[n] = system.capacity(n);
+  RebuildScratch sc;
+  sc.remaining.resize(system.num_vertices());
+  for (NodeId n = 0; n < system.num_vertices(); ++n) sc.remaining[n] = system.capacity(n);
 
   for (std::size_t k : build_order(allocation, shares.tree_size)) {
-    auto entry = build_entry(system, pairs, sets[k], specs, tree_opts, remaining,
-                             allocation, shares, k, BuildPass::kInitial, cache);
-    charge_usage(remaining, entry.tree);
+    auto entry = build_entry(ctx, sets[k], k, sc);
+    charge_usage(sc.remaining, entry.tree);
     topo.mutable_entries().push_back(std::move(entry));
   }
   return topo;
@@ -441,45 +433,20 @@ Topology rebuild_trees(const Topology& topo, const SystemModel& system,
                        const std::vector<std::size_t>& victim_indices,
                        const std::vector<std::vector<AttrId>>& new_sets,
                        const AttrSpecTable& specs, AllocationScheme allocation,
-                       const TreeBuildOptions& tree_opts, TreeBuildCache* cache) {
-  std::vector<std::size_t> victims = victim_indices;
-  sort_unique(victims);
-
+                       const TreeBuildOptions& tree_opts, TreeBuildCache& cache) {
+  RebuildScratch sc;
+  const ShareInfo shares = rebuild_prologue(topo, system, pairs, victim_indices,
+                                            new_sets, allocation, cache, sc);
+  const BuildContext ctx{system, pairs, specs, tree_opts, allocation,
+                         shares, BuildPass::kRebuild, cache};
   Topology out;
   out.set_total_pairs(pairs.total_pairs());
-  for (std::size_t i = 0; i < topo.entries().size(); ++i)
-    if (!set_contains(victims, i)) out.mutable_entries().push_back(topo.entries()[i]);
-
-  // Shares are computed over the partition *after* the operation: kept sets
-  // followed by the new sets (new trees occupy the tail indices).
-  std::vector<std::vector<AttrId>> all_sets;
-  all_sets.reserve(out.entries().size() + new_sets.size());
-  for (const auto& e : out.entries()) all_sets.push_back(e.attrs);
-  const std::size_t first_new = all_sets.size();
-  for (const auto& s : new_sets) all_sets.push_back(s);
-  const ShareInfo shares = compute_shares(system, pairs, all_sets);
-
-  // One pass over the kept trees instead of num_vertices × entries calls
-  // to node_usage(): each node's usage still accumulates in entry order
-  // from zero, so `remaining` is bit-identical to the per-node form.
-  std::vector<Capacity> usage(system.num_vertices(), 0);
-  for (const auto& e : out.entries())
-    e.tree.for_each_usage([&](NodeId n, Capacity u) { usage[n] += u; });
-  std::vector<Capacity> remaining(system.num_vertices());
-  for (NodeId n = 0; n < system.num_vertices(); ++n)
-    remaining[n] = system.capacity(n) - usage[n];
-
-  std::vector<std::size_t> new_sizes(new_sets.size());
-  for (std::size_t k = 0; k < new_sets.size(); ++k)
-    new_sizes[k] = shares.tree_size[first_new + k];
-  for (std::size_t k : build_order(allocation, new_sizes)) {
-    auto entry = build_entry(system, pairs, new_sets[k], specs, tree_opts,
-                             remaining, allocation, shares, first_new + k,
-                             BuildPass::kRebuild, cache);
-    charge_usage(remaining, entry.tree);
+  for (std::size_t i : sc.kept) out.mutable_entries().push_back(topo.entries()[i]);
+  for (std::size_t k : sc.order) {
+    auto entry = build_entry(ctx, new_sets[k], sc.kept.size() + k, sc);
+    charge_usage(sc.remaining, entry.tree);
     out.mutable_entries().push_back(std::move(entry));
   }
-  (void)kEps;
   return out;
 }
 
@@ -488,67 +455,32 @@ RebuildScore rebuild_score(const Topology& topo, const SystemModel& system,
                            const std::vector<std::size_t>& victim_indices,
                            const std::vector<std::vector<AttrId>>& new_sets,
                            const AttrSpecTable& specs, AllocationScheme allocation,
-                           const TreeBuildOptions& tree_opts, TreeBuildCache* cache,
-                           RebuildScratch* scratch) {
-  RebuildScratch local;
-  RebuildScratch& sc = scratch != nullptr ? *scratch : local;
-
-  sc.victims.assign(victim_indices.begin(), victim_indices.end());
-  sort_unique(sc.victims);
-
+                           const TreeBuildOptions& tree_opts, TreeBuildCache& cache,
+                           RebuildScratch& sc) {
+  const ShareInfo shares = rebuild_prologue(topo, system, pairs, victim_indices,
+                                            new_sets, allocation, cache, sc);
+  const BuildContext ctx{system, pairs, specs, tree_opts, allocation,
+                         shares, BuildPass::kRebuild, cache};
   // Every accumulation below runs in the exact order the materialized
   // rebuild would use (kept entries in original order, then new trees in
   // build order), so the result is bit-identical to
   // score_of(rebuild_trees(...)) — ties in the search must not depend on
   // which path scored a candidate.
   RebuildScore score;
-  sc.all_sets.clear();
-  sc.all_sets.reserve(topo.entries().size() - sc.victims.size() + new_sets.size());
-  sc.usage.assign(system.num_vertices(), 0);
-  for (std::size_t i = 0; i < topo.entries().size(); ++i) {
-    if (set_contains(sc.victims, i)) continue;
-    const auto& e = topo.entries()[i];
-    score.collected += e.collected_pairs;
-    score.cost += e.tree.total_cost();
-    sc.all_sets.push_back(e.attrs);
-    e.tree.for_each_usage([&](NodeId n, Capacity u) { sc.usage[n] += u; });
+  for (std::size_t i : sc.kept) {
+    score.collected += topo.entries()[i].collected_pairs;
+    score.cost += topo.entries()[i].tree.total_cost();
   }
-  const std::size_t first_new = sc.all_sets.size();
-  for (const auto& s : new_sets) sc.all_sets.push_back(s);
-
-  // Demand-driven rebuilds never read the advisory shares —
-  // advisory_share() answers "unconstrained" for every vertex in the
-  // kRebuild pass — so scoring skips the per-node share indexes over the
-  // kept sets (one nodes_with_any sweep per set per candidate otherwise)
-  // and computes only the new sets' sizes, the build-order key.
-  const bool demand_driven = allocation == AllocationScheme::kOnDemand ||
-                             allocation == AllocationScheme::kOrdered;
-  ShareInfo shares;
-  if (demand_driven) {
-    shares.tree_size.resize(sc.all_sets.size());
-    for (std::size_t k = first_new; k < sc.all_sets.size(); ++k)
-      shares.tree_size[k] =
-          cache != nullptr && cache->enabled()
-              ? cache->items_template(sc.all_sets[k], pairs)->nodes.size()
-              : pairs.nodes_with_any(sc.all_sets[k]).size();
-  } else {
-    shares = compute_shares(system, pairs, sc.all_sets);
-  }
-
-  sc.remaining.resize(system.num_vertices());
-  for (NodeId n = 0; n < system.num_vertices(); ++n)
-    sc.remaining[n] = system.capacity(n) - sc.usage[n];
-
-  sc.new_sizes.resize(new_sets.size());
-  for (std::size_t k = 0; k < new_sets.size(); ++k)
-    sc.new_sizes[k] = shares.tree_size[first_new + k];
-  for (std::size_t k : build_order(allocation, sc.new_sizes)) {
-    const EntryScore es =
-        score_entry(system, pairs, new_sets[k], specs, tree_opts, sc.remaining,
-                    allocation, shares, first_new + k, cache, sc.tree_attrs,
-                    sc.items);
-    score.collected += es.collected;
-    score.cost += es.cost;
+  // A new tree's hit is read in place — no copy, no budget rewrite: budgets
+  // enter neither usage nor cost nor collected counts.
+  for (std::size_t k : sc.order) {
+    Capacity collector_avail = 0;
+    std::optional<TreeEntry> built;
+    const TreeEntry& entry = lookup_or_build(ctx, new_sets[k], sc.kept.size() + k,
+                                             sc, collector_avail, built);
+    charge_usage(sc.remaining, entry.tree);
+    score.collected += entry.collected_pairs;
+    score.cost += entry.tree.total_cost();
   }
   return score;
 }

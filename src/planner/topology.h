@@ -101,47 +101,50 @@ std::size_t edge_diff(const Topology& before, const Topology& after);
 std::vector<NodeAttrPair> collected_pairs_of(const Topology& topo);
 
 /// Build the complete forest for `partition`. Tree build order follows the
-/// allocation scheme (kOrdered sorts by ascending candidate-set size).
-/// `cache` (optional) memoizes the per-set tree builds; a hit returns a
-/// result bit-identical to the fresh build (see tree_build_cache.h).
+/// allocation scheme (kOrdered builds the largest candidate sets first).
+/// Every tree goes through `cache`'s lookup-or-build step: a hit is
+/// bit-identical to the fresh build (see tree_build_cache.h).
 Topology build_topology(const SystemModel& system, const PairSet& pairs,
                         const Partition& partition, const AttrSpecTable& specs,
                         AllocationScheme allocation, const TreeBuildOptions& tree_opts,
-                        TreeBuildCache* cache = nullptr);
+                        TreeBuildCache& cache);
 
 /// Rebuild only the trees at `victim_indices`, replacing them with trees
 /// for `new_sets` (the resource-aware evaluation step of Sec. 3.2: "builds
 /// trees for nodes affected by m"). Budgets are the nodes' remaining
-/// capacity with the victims removed, advisory-capped per `allocation`.
-/// Returns the modified topology; `topo` itself is untouched.
+/// capacity with the victims removed, floored at 0 and advisory-capped per
+/// `allocation`. Returns the modified topology; `topo` itself is untouched.
 Topology rebuild_trees(const Topology& topo, const SystemModel& system,
                        const PairSet& pairs, const std::vector<std::size_t>& victim_indices,
                        const std::vector<std::vector<AttrId>>& new_sets,
                        const AttrSpecTable& specs, AllocationScheme allocation,
-                       const TreeBuildOptions& tree_opts, TreeBuildCache* cache = nullptr);
+                       const TreeBuildOptions& tree_opts, TreeBuildCache& cache);
 
 /// The (collected pairs, cost) outcome of a rebuild_trees call without
 /// materializing it: untouched entries contribute their aggregates, only
-/// the replacement trees are built (memoized via `cache`). Bit-identical
-/// to scoring the materialized topology — the cost sum runs in the same
-/// entry order — at a fraction of the cost, which is what lets the search
-/// score whole candidate lists and materialize only the committed winner.
+/// the replacement trees are built (or read from `cache` in place).
+/// Bit-identical to scoring the materialized topology — the cost sum runs
+/// in the same entry order — at a fraction of the cost, which is what lets
+/// the search score whole candidate lists and materialize only the
+/// committed winner.
 struct RebuildScore {
   std::size_t collected = 0;
   Capacity cost = 0;
 };
 
-/// Reusable buffers for rebuild_score. The evaluator keeps one per scoring
-/// thread and reuses it across every candidate of a dispatch block, so the
-/// hot scoring path stops re-allocating its per-call vectors. Passing the
-/// same scratch, a different scratch, or none at all never changes the
-/// returned score — the buffers are fully overwritten on every call.
+/// Reusable buffers of one (re)build. The evaluator keeps one per scoring
+/// task and reuses it across every candidate of a dispatch block, so the
+/// hot scoring path stops re-allocating its per-call vectors. The buffers
+/// are fully overwritten on every call, so which scratch a call gets never
+/// changes its result.
 struct RebuildScratch {
-  std::vector<std::size_t> victims;
+  std::vector<std::size_t> victims;  // sorted
+  std::vector<std::size_t> kept;     // entry indices that survive, in order
   std::vector<std::vector<AttrId>> all_sets;
   std::vector<Capacity> usage;
   std::vector<Capacity> remaining;
   std::vector<std::size_t> new_sizes;
+  std::vector<std::size_t> order;  // new-set indices in build order
   std::vector<TreeAttrSpec> tree_attrs;
   std::vector<BuildItem> items;
 };
@@ -151,8 +154,7 @@ RebuildScore rebuild_score(const Topology& topo, const SystemModel& system,
                            const std::vector<std::size_t>& victim_indices,
                            const std::vector<std::vector<AttrId>>& new_sets,
                            const AttrSpecTable& specs, AllocationScheme allocation,
-                           const TreeBuildOptions& tree_opts,
-                           TreeBuildCache* cache = nullptr,
-                           RebuildScratch* scratch = nullptr);
+                           const TreeBuildOptions& tree_opts, TreeBuildCache& cache,
+                           RebuildScratch& scratch);
 
 }  // namespace remo

@@ -69,27 +69,6 @@ const TreeBuildCache::ItemsTemplate* TreeBuildCache::items_template(
   return &templates_.emplace(attrs, std::move(t)).first->second;
 }
 
-std::optional<TreeEntry> TreeBuildCache::find(const TreeBuildKey& key) {
-  {
-    MutexLock lock(mutex_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      if (validation_enabled() && reference_pairs_ != nullptr) {
-        REMO_VALIDATE(
-            it->second.pair_fingerprint == pair_fingerprint(key, *reference_pairs_),
-            "tree-build cache served a stale entry: ", key.attrs.size(),
-            " attrs / ", key.nodes.size(),
-            " members no longer match the reference pair set — "
-            "a pair-set change was not invalidated");
-      }
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second.entry;  // copy under the lock; caller owns it
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
-}
-
 const TreeEntry* TreeBuildCache::peek(const TreeBuildKey& key) {
   {
     MutexLock lock(mutex_);
@@ -112,6 +91,7 @@ const TreeEntry* TreeBuildCache::peek(const TreeBuildKey& key) {
 }
 
 void TreeBuildCache::insert(const TreeBuildKey& key, const TreeEntry& entry) {
+  if (!memoize_) return;
   MutexLock lock(mutex_);
   CachedEntry cached{entry, 0};
   if (validation_enabled() && reference_pairs_ != nullptr) {

@@ -31,7 +31,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -54,21 +53,21 @@ struct TreeBuildKey {
 
 class TreeBuildCache {
  public:
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const noexcept { return enabled_; }
+  /// `memoize` = false keeps every tree build fresh: insert() stores
+  /// nothing, so every peek() misses (the never-memoized reference the
+  /// determinism properties compare against). Items templates are kept
+  /// either way.
+  explicit TreeBuildCache(bool memoize = true) : memoize_(memoize) {}
 
-  /// Returns a copy of the cached entry, or nullopt. Counts a hit/miss.
-  /// Under REMO_VALIDATE (with a reference pair set installed) a hit's
-  /// stored input fingerprint is recomputed and must match — serving a
-  /// stale entry aborts.
-  std::optional<TreeEntry> find(const TreeBuildKey& key) REMO_EXCLUDES(mutex_);
-  /// Scoring peek (REMO_HOT: once per cached tree per candidate scored):
+  /// Lookup (REMO_HOT: once per (re)built tree per candidate scored):
   /// returns a pointer to the cached entry, or nullptr, counting a
-  /// hit/miss like find() — without copying the tree. The pointee is
-  /// immutable and the pointer is stable across concurrent peek()/insert()
-  /// calls (entries are never updated in place), but invalidate_attrs()
-  /// and clear() destroy it — callers must not hold the pointer across
-  /// either. Performs the same REMO_VALIDATE staleness check as find().
+  /// hit/miss — without copying the tree. The pointee is immutable and the
+  /// pointer is stable across concurrent peek()/insert() calls (entries are
+  /// never updated in place), but invalidate_attrs() and clear() destroy
+  /// it — callers must not hold the pointer across either. Under
+  /// REMO_VALIDATE (with a reference pair set installed) a hit's stored
+  /// input fingerprint is recomputed and must match — serving a stale
+  /// entry aborts.
   const TreeEntry* peek(const TreeBuildKey& key) REMO_EXCLUDES(mutex_);
 
   /// Everything item construction reads from the pair set for a tree over
@@ -92,7 +91,8 @@ class TreeBuildCache {
       REMO_EXCLUDES(mutex_);
 
   /// Inserts (no-op if the key is already present — concurrent builders of
-  /// the same key produce identical entries, so first-writer-wins is fine).
+  /// the same key produce identical entries, so first-writer-wins is fine —
+  /// or if the cache does not memoize).
   void insert(const TreeBuildKey& key, const TreeEntry& entry)
       REMO_EXCLUDES(mutex_);
 
@@ -106,7 +106,7 @@ class TreeBuildCache {
 
   /// Installs the pair set that entries are built against (validation
   /// only; pass nullptr to detach). The pointee must outlive the cache or
-  /// the next set_reference_pairs call and is read during find()/insert()
+  /// the next set_reference_pairs call and is read during peek()/insert()
   /// — safe while builds run, since builders never mutate the pair set.
   void set_reference_pairs(const PairSet* pairs) REMO_EXCLUDES(mutex_);
 
@@ -130,8 +130,7 @@ class TreeBuildCache {
     std::uint64_t pair_fingerprint = 0;
   };
 
-  /// Written once by the owning evaluator before any concurrent use.
-  bool enabled_ = true;
+  const bool memoize_;
   mutable Mutex mutex_;
   std::unordered_map<TreeBuildKey, CachedEntry, KeyHash> entries_
       REMO_GUARDED_BY(mutex_);

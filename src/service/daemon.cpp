@@ -14,6 +14,9 @@ namespace remo::service {
 
 namespace {
 
+/// Retained time-series samples (ring; oldest dropped first).
+constexpr std::size_t kSeriesCapacity = 1024;
+
 /// Latency buckets in epochs (scaled by epoch_duration at registration):
 /// the ingest-to-collected latency of a value deferred k epochs is
 /// (k + 1) · epoch_duration, so the interesting resolution is small
@@ -262,7 +265,7 @@ void MonitoringDaemon::emit_epoch(double now_end,
   sample.queue_depth = bus_.depth();
   sample.values_shed = bus_stats.values_shed;
   series_.push_back(sample);
-  while (series_.size() > options_.series_capacity) series_.pop_front();
+  while (series_.size() > kSeriesCapacity) series_.pop_front();
 
   if (metrics_.epochs != nullptr) {
     metrics_.epochs->add(1);

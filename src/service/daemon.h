@@ -54,8 +54,6 @@ struct DaemonOptions {
   /// Virtual seconds per epoch — the unit of the planner clock and the
   /// ingest-to-collected latency histogram.
   double epoch_duration = 1.0;
-  /// Retained time-series samples (ring; oldest dropped first).
-  std::size_t series_capacity = 1024;
   /// Registry for `service.*` metrics. Null = the process-global one.
   obs::Registry* metrics = nullptr;
   /// Wire sink: called once at startup with the stream header and once
@@ -164,7 +162,8 @@ class MonitoringDaemon {
   /// One JSON object summarizing the run so far (status roll-up, daemon
   /// counters, bus admission stats).
   std::string summary_json() const;
-  /// The retained per-epoch time series (wire::series_header + lines).
+  /// The retained per-epoch time series (wire::series_header + lines): the
+  /// last 1024 epochs, oldest dropped first.
   std::string time_series_text() const;
   const std::deque<wire::SeriesSample>& series() const noexcept {
     return series_;

@@ -34,7 +34,6 @@ class PairSet {
 
   /// Number of nodes monitoring `attr` (0 if the attribute is absent).
   std::size_t attr_count(AttrId attr) const;
-  bool has_attr(AttrId attr) const { return attr_count(attr) > 0; }
 
   /// Nodes that monitor `attr` (sorted).
   std::vector<NodeId> nodes_with(AttrId attr) const;

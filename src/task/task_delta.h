@@ -1,6 +1,5 @@
 // Structured churn unit: what one task-manager mutation (or a merged
-// burst of them) changed, expressed directly as a pair-set delta plus the
-// touched task ids. Emitted by TaskManager's delta-returning mutators and
+// burst of them) changed, expressed directly as a pair-set delta. Emitted by TaskManager's delta-returning mutators and
 // apply_update_batch so delta consumers (the MonitoringSystem facade's
 // pending delta and AdaptivePlanner::apply_delta, DESIGN.md §13) never
 // have to re-diff full PairSets.
@@ -19,17 +18,9 @@ struct TaskDelta {
   /// removal do not appear.
   PairSetDelta pairs;
 
-  /// Ids of the tasks the mutation touched (sorted, unique).
-  std::vector<TaskId> tasks_touched;
-
-  bool empty() const noexcept { return pairs.empty() && tasks_touched.empty(); }
-
   /// Composes `more` on top of this delta (see PairSetDelta::merge for the
-  /// cancellation semantics). Task ids accumulate.
-  void merge(const TaskDelta& more) {
-    pairs.merge(more.pairs);
-    tasks_touched = set_union(tasks_touched, more.tasks_touched);
-  }
+  /// cancellation semantics).
+  void merge(const TaskDelta& more) { pairs.merge(more.pairs); }
 };
 
 }  // namespace remo

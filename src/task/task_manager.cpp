@@ -80,10 +80,7 @@ TaskId TaskManager::add_task(MonitoringTask t, TaskDelta* delta) {
   TaskDelta local;
   bump_index(t, +1, local.pairs.added, local.pairs.removed);
   tasks_.emplace(id, std::move(t));
-  if (delta != nullptr) {
-    local.tasks_touched.push_back(id);
-    delta->merge(local);
-  }
+  if (delta != nullptr) delta->merge(local);
   check_invariants();
   return id;
 }
@@ -94,10 +91,7 @@ bool TaskManager::remove_task(TaskId id, TaskDelta* delta) {
   TaskDelta local;
   bump_index(it->second, -1, local.pairs.added, local.pairs.removed);
   tasks_.erase(it);
-  if (delta != nullptr) {
-    local.tasks_touched.push_back(id);
-    delta->merge(local);
-  }
+  if (delta != nullptr) delta->merge(local);
   check_invariants();
   return true;
 }
@@ -119,7 +113,6 @@ bool TaskManager::modify_task(MonitoringTask t, TaskDelta* delta) {
     TaskDelta local;
     local.pairs.added = set_difference(raw_added, raw_removed);
     local.pairs.removed = set_difference(raw_removed, raw_added);
-    local.tasks_touched.push_back(it->first);
     delta->merge(local);
   }
   check_invariants();

@@ -66,7 +66,6 @@ class TaskManager {
   void set_owned_vertices(std::size_t num_vertices) noexcept {
     owned_vertices_ = num_vertices;
   }
-  std::size_t owned_vertices() const noexcept { return owned_vertices_; }
 
   /// Deep invariant hook (REMO_VALIDATE, DESIGN.md §11): every stored task
   /// carries the id it is keyed by, its attribute/node lists are

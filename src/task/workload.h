@@ -65,8 +65,8 @@ struct UpdateBatchStats {
   /// Old attributes genuinely gone after the update (re-drawing an attr the
   /// batch just removed does not count as a replacement).
   std::size_t attrs_replaced = 0;
-  /// Structured churn delta of the whole batch: exact dedup-pair changes
-  /// plus touched task ids, ready for the delta replanning path.
+  /// Structured churn delta of the whole batch: exact dedup-pair changes,
+  /// ready for the delta replanning path.
   TaskDelta delta;
 };
 

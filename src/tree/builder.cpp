@@ -11,6 +11,10 @@ namespace remo {
 
 namespace {
 
+/// Consecutive adjustments that enable no new attachment before the
+/// construct/adjust iteration stops (guards its termination).
+constexpr std::size_t kMaxFruitlessAdjusts = 4;
+
 /// Scratch reused across the rounds of one build (or one adjust_tree_once
 /// call), so the construct/adjust loop allocates nothing per round once the
 /// buffers have grown.
@@ -349,7 +353,7 @@ TreeBuildResult build_tree(std::vector<TreeAttrSpec> attrs,
     if (attached > 0)
       fruitless = 0;
     else if (result.adjust_invocations > 0 &&
-             ++fruitless > options.max_fruitless_adjusts)
+             ++fruitless > kMaxFruitlessAdjusts)
       break;
     if (options.scheme != TreeScheme::kAdaptive) {
       if (attached == 0) break;

@@ -43,9 +43,6 @@ struct TreeBuildOptions {
   /// Sec. 5.1.2: restrict the reattach search to the congested node's
   /// subtree whenever Theorem 1 guarantees completeness.
   bool subtree_only = true;
-  /// Stop after this many consecutive adjustments that enable no new
-  /// attachment (guards termination of the construct/adjust iteration).
-  std::size_t max_fruitless_adjusts = 4;
 };
 
 struct TreeBuildResult {

@@ -190,8 +190,8 @@ Capacity MonitoringTree::usage(NodeId id) const {
 Capacity MonitoringTree::avail(NodeId id) const { return avail_[slot_of(id)]; }
 
 void MonitoringTree::set_avail(NodeId id, Capacity avail) {
-  if (avail + 1e-9 < usage(id))
-    throw std::invalid_argument("set_avail below current usage");
+  REMO_ASSERT(avail + 1e-9 >= usage(id), "set_avail below current usage: node ",
+              id, " avail ", avail, " < usage ", usage(id));
   const Slot s = slot_of(id);
   javail(s);
   avail_[s] = avail;

@@ -208,7 +208,8 @@ class MonitoringTree {
   Capacity slack(NodeId id) const { return avail(id) - usage(id); }
   /// Re-caps a vertex's capacity allocation (used by the adaptive planner
   /// to bind in-place patches to the node's *global* remaining budget).
-  /// Must not go below current usage — that would invalidate the tree.
+  /// Contract (REMO_ASSERT): never below current usage — that would
+  /// invalidate the tree.
   void set_avail(NodeId id, Capacity avail);
   /// Per-metric incoming counts (aligned with attr_specs()). The returned
   /// view is invalidated by any mutation; see CountSpan.

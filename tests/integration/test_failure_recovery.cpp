@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "common/check.h"
 #include "core/monitoring_system.h"
@@ -191,78 +192,96 @@ TEST(FailureRecovery, TransientOutageRecoversAndReintegrates) {
   EXPECT_EQ(status.repair.recoveries_detected, rep.recoveries_detected);
 }
 
-// A task change that lands while the loop plans around a suspect: the
-// replan after the outage left the suspect's pairs out of the planner's
-// pair set, and the delta fast path must leave the suspect's share of the
-// change out too. Otherwise the suspect is drafted back into the chain as
-// a relay while still down, and deep validation of the delta path (the
-// planner's pairs against the manager's, minus the suspect's) aborts.
+// A task change that lands while the loop plans around a suspect, in the
+// three shapes that reach the planner: a modify on the delta fast path, the
+// same modify turned into a full rebuild by a constraint-signature change
+// (aggregation = kSum adds a funnel), and a forced replan(). The replan
+// after the outage left the suspect's pairs out of the planner's pair set;
+// each path must leave it out too. Otherwise the suspect is drafted back
+// into the chain as a relay while still down (and, on the delta path, deep
+// validation of the planner's pairs against the manager's, minus the
+// suspect's, aborts).
 TEST(FailureRecovery, TaskChurnWhilePlannedAroundLeavesTheSuspectOut) {
   struct ValidationOn {
     bool was = validation_enabled();
     ValidationOn() { set_validation_enabled(true); }
     ~ValidationOn() { set_validation_enabled(was); }
   } const validate;
-  const std::size_t n = 8;
-  SystemModel system = make_system(n);
-  for (NodeId id = 1; id <= n; ++id) system.set_observable(id, {0, 1});
-  MonitoringSystem service(std::move(system), loop_options());
-  MonitoringTask task = all_nodes_task(n);
-  task.id = service.add_task(task);
-  const Topology initial = service.topology(0.0);
-  const auto& chain = initial.entries()[0].tree;
-  NodeId victim = kNoNode;
-  for (NodeId m : chain.members())
-    if (chain.depth(m) == 2) victim = m;
-  ASSERT_NE(victim, kNoNode);
+  enum class Input { kDeltaModify, kRebuildModify, kReplan };
+  for (const Input input : {Input::kDeltaModify, Input::kRebuildModify, Input::kReplan}) {
+    SCOPED_TRACE("input " + std::to_string(static_cast<int>(input)));
+    const std::size_t n = 8;
+    SystemModel system = make_system(n);
+    for (NodeId id = 1; id <= n; ++id) system.set_observable(id, {0, 1});
+    MonitoringSystem service(std::move(system), loop_options());
+    MonitoringTask task = all_nodes_task(n);
+    task.id = service.add_task(task);
+    const Topology initial = service.topology(0.0);
+    const auto& chain = initial.entries()[0].tree;
+    NodeId victim = kNoNode;
+    for (NodeId m : chain.members())
+      if (chain.depth(m) == 2) victim = m;
+    ASSERT_NE(victim, kNoNode);
 
-  std::uint64_t epoch = 0;
-  auto now = [&epoch] { return static_cast<double>(epoch); };
-  auto step = [&](bool victim_silent) {
-    ++epoch;
-    for (NodeId id = 1; id <= n; ++id) {
-      if (id == victim && victim_silent) continue;
-      for (AttrId a : task.attrs) service.on_delivery({id, a}, epoch);
+    std::uint64_t epoch = 0;
+    auto now = [&epoch] { return static_cast<double>(epoch); };
+    auto step = [&](bool victim_silent) {
+      ++epoch;
+      for (NodeId id = 1; id <= n; ++id) {
+        if (id == victim && victim_silent) continue;
+        for (AttrId a : task.attrs) service.on_delivery({id, a}, epoch);
+      }
+      service.end_epoch(epoch);
+    };
+    auto collected = [&](NodeId node, AttrId attr) {
+      const auto pairs = service.collected_pairs(now());
+      return std::find(pairs.begin(), pairs.end(), NodeAttrPair{node, attr}) !=
+             pairs.end();
+    };
+
+    // Silent until the replan after the outage has planned around it.
+    while (service.repair_report().replans_after_outage == 0 && epoch < 100)
+      step(true);
+    ASSERT_EQ(service.repair_report().replans_after_outage, 1u);
+    ASSERT_TRUE(service.liveness().is_down(victim));
+
+    if (input == Input::kReplan) {
+      service.replan(now());
+    } else {
+      task.attrs = {0, 1};
+      if (input == Input::kRebuildModify) task.aggregation = AggType::kSum;
+      ASSERT_TRUE(service.modify_task(task));
     }
-    service.end_epoch(epoch);
-  };
-  auto collected = [&](NodeId node, AttrId attr) {
-    const auto pairs = service.collected_pairs(now());
-    return std::find(pairs.begin(), pairs.end(), NodeAttrPair{node, attr}) !=
-           pairs.end();
-  };
-
-  // Silent until the replan after the outage has planned around it.
-  while (service.repair_report().replans_after_outage == 0 && epoch < 100)
     step(true);
-  ASSERT_EQ(service.repair_report().replans_after_outage, 1u);
-  ASSERT_TRUE(service.liveness().is_down(victim));
-
-  task.attrs = {0, 1};
-  ASSERT_TRUE(service.modify_task(task));
-  step(true);
-  EXPECT_EQ(service.status(now()).delta_applies, 1u);
-  for (const auto& entry : service.topology(now()).entries()) {
-    if (entry.tree.contains(victim)) {
-      EXPECT_TRUE(entry.tree.children(victim).empty())
-          << "suspect " << victim << " drafted as a relay";
+    if (input == Input::kDeltaModify) {
+      EXPECT_EQ(service.status(now()).delta_applies, 1u);
     }
-  }
-  EXPECT_FALSE(collected(victim, 1));
-  for (NodeId id = 1; id <= n; ++id) {
-    if (id != victim) {
-      EXPECT_TRUE(collected(id, 1)) << "node " << id;
+    for (const auto& entry : service.topology(now()).entries()) {
+      if (entry.tree.contains(victim)) {
+        EXPECT_TRUE(entry.tree.children(victim).empty())
+            << "suspect " << victim << " drafted as a relay";
+      }
     }
-  }
+    if (input == Input::kDeltaModify) {
+      EXPECT_FALSE(collected(victim, 1));
+    }
+    for (NodeId id = 1; id <= n; ++id) {
+      if (id == victim) continue;
+      for (AttrId a : task.attrs) {
+        EXPECT_TRUE(collected(id, a)) << "node " << id << " attr " << a;
+      }
+    }
 
-  // It resumes: the recovery schedules a replan that plans its pairs in.
-  while (service.repair_report().replans_after_outage == 1 && epoch < 200)
-    step(false);
-  ASSERT_EQ(service.repair_report().replans_after_outage, 2u);
-  EXPECT_TRUE(service.liveness().suspected().empty());
-  EXPECT_TRUE(collected(victim, 0));
-  EXPECT_TRUE(collected(victim, 1));
-  EXPECT_TRUE(service.topology(now()).validate(service.system()));
+    // It resumes: the recovery schedules a replan that plans its pairs in.
+    while (service.repair_report().replans_after_outage == 1 && epoch < 200)
+      step(false);
+    ASSERT_EQ(service.repair_report().replans_after_outage, 2u);
+    EXPECT_TRUE(service.liveness().suspected().empty());
+    for (AttrId a : task.attrs) {
+      EXPECT_TRUE(collected(victim, a)) << "attr " << a;
+    }
+    EXPECT_TRUE(service.topology(now()).validate(service.system()));
+  }
 }
 
 }  // namespace

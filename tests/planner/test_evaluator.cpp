@@ -176,20 +176,22 @@ TreeEntry sample_entry() {
     system.set_observable(id, {0});
     pairs.add(id, 0);
   }
+  TreeBuildCache cache;
   auto topo = build_topology(system, pairs, Partition::singleton({0}),
-                             AttrSpecTable{}, AllocationScheme::kOrdered, adaptive());
+                             AttrSpecTable{}, AllocationScheme::kOrdered, adaptive(),
+                             cache);
   return topo.entries().front();
 }
 
 TEST(TreeBuildCache, MissThenHitOnIdenticalKey) {
   TreeBuildCache cache;
   const TreeBuildKey key = sample_key();
-  EXPECT_FALSE(cache.find(key).has_value());
+  EXPECT_EQ(cache.peek(key), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
 
   cache.insert(key, sample_entry());
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_TRUE(cache.find(key).has_value());
+  EXPECT_NE(cache.peek(key), nullptr);
   EXPECT_EQ(cache.hits(), 1u);
 }
 
@@ -199,7 +201,7 @@ TEST(TreeBuildCache, MemberCapacityChangeInvalidates) {
 
   TreeBuildKey changed = sample_key();
   changed.avails[1] = 41.0;  // one member's remaining budget moved
-  EXPECT_FALSE(cache.find(changed).has_value());
+  EXPECT_EQ(cache.peek(changed), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 0u);
 }
@@ -210,7 +212,7 @@ TEST(TreeBuildCache, CollectorCapacityChangeInvalidates) {
 
   TreeBuildKey changed = sample_key();
   changed.collector_avail = 89.0;
-  EXPECT_FALSE(cache.find(changed).has_value());
+  EXPECT_EQ(cache.peek(changed), nullptr);
 }
 
 TEST(TreeBuildCache, AttrOrNodeChangeInvalidates) {
@@ -219,11 +221,11 @@ TEST(TreeBuildCache, AttrOrNodeChangeInvalidates) {
 
   TreeBuildKey other_attrs = sample_key();
   other_attrs.attrs = {1, 5};
-  EXPECT_FALSE(cache.find(other_attrs).has_value());
+  EXPECT_EQ(cache.peek(other_attrs), nullptr);
 
   TreeBuildKey other_nodes = sample_key();
   other_nodes.nodes = {3, 1, 8};
-  EXPECT_FALSE(cache.find(other_nodes).has_value());
+  EXPECT_EQ(cache.peek(other_nodes), nullptr);
 }
 
 TEST(TreeBuildCache, InvalidateAttrsEvictsOnlyIntersectingEntries) {
@@ -237,8 +239,8 @@ TEST(TreeBuildCache, InvalidateAttrsEvictsOnlyIntersectingEntries) {
   EXPECT_EQ(cache.invalidate_attrs({}), 0u);
   EXPECT_EQ(cache.invalidate_attrs({4}), 1u);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_FALSE(cache.find(a).has_value());
-  EXPECT_TRUE(cache.find(b).has_value());  // disjoint attrs: still served
+  EXPECT_EQ(cache.peek(a), nullptr);
+  EXPECT_NE(cache.peek(b), nullptr);  // disjoint attrs: still served
 }
 
 TEST(TreeBuildCacheDeathTest, StaleEntryIsNeverServedUnderValidation) {
@@ -252,12 +254,12 @@ TEST(TreeBuildCacheDeathTest, StaleEntryIsNeverServedUnderValidation) {
   cache.set_reference_pairs(&pairs);
   const TreeBuildKey key = sample_key();
   cache.insert(key, sample_entry());
-  EXPECT_TRUE(cache.find(key).has_value());  // fingerprint still matches
+  EXPECT_NE(cache.peek(key), nullptr);  // fingerprint still matches
 
   // Mutate the slice the entry was built against without invalidating:
   // serving it now would hand the planner a tree for the wrong pair set.
   pairs.add(3, 4);
-  EXPECT_DEATH((void)cache.find(key), "stale entry");
+  EXPECT_DEATH((void)cache.peek(key), "stale entry");
   set_validation_enabled(false);
 }
 
@@ -266,7 +268,7 @@ TEST(TreeBuildCache, ClearEmptiesEntries) {
   cache.insert(sample_key(), sample_entry());
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.find(sample_key()).has_value());
+  EXPECT_EQ(cache.peek(sample_key()), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -285,12 +287,13 @@ TEST(TreeBuildCache, RebuildTreesHitsOnRepeatMissesOnChangedRemaining) {
     for (AttrId a : {0, 1, 2}) pairs.add(id, a);
   }
 
+  TreeBuildCache base_cache;
   const auto base_split =
       build_topology(system, pairs, Partition::singleton({0, 1, 2}),
-                     AttrSpecTable{}, AllocationScheme::kOrdered, adaptive());
+                     AttrSpecTable{}, AllocationScheme::kOrdered, adaptive(), base_cache);
   const auto base_merged =
       build_topology(system, pairs, Partition({{0, 1}, {2}}), AttrSpecTable{},
-                     AllocationScheme::kOrdered, adaptive());
+                     AllocationScheme::kOrdered, adaptive(), base_cache);
 
   auto victim_of = [](const Topology& t, const std::vector<AttrId>& attrs) {
     for (std::size_t i = 0; i < t.entries().size(); ++i)
@@ -316,13 +319,13 @@ TEST(TreeBuildCache, RebuildTreesHitsOnRepeatMissesOnChangedRemaining) {
   const std::size_t v = victim_of(base_split, {2});
   const auto first = rebuild_trees(base_split, system, pairs, {v}, {{2}},
                                    AttrSpecTable{}, AllocationScheme::kOrdered,
-                                   adaptive(), &cache);
+                                   adaptive(), cache);
   EXPECT_EQ(cache.hits(), 0u);
 
   // Identical rebuild: served from the cache, bit-identical result.
   const auto again = rebuild_trees(base_split, system, pairs, {v}, {{2}},
                                    AttrSpecTable{}, AllocationScheme::kOrdered,
-                                   adaptive(), &cache);
+                                   adaptive(), cache);
   EXPECT_GT(cache.hits(), 0u);
   EXPECT_EQ(first.edges(), again.edges());
   EXPECT_EQ(first.collected_pairs(), again.collected_pairs());
@@ -331,7 +334,7 @@ TEST(TreeBuildCache, RebuildTreesHitsOnRepeatMissesOnChangedRemaining) {
     // Same attribute set, different residual capacities: must be a miss.
     const std::size_t hits_before = cache.hits();
     rebuild_trees(base_merged, system, pairs, {victim_of(base_merged, {2})}, {{2}},
-                  AttrSpecTable{}, AllocationScheme::kOrdered, adaptive(), &cache);
+                  AttrSpecTable{}, AllocationScheme::kOrdered, adaptive(), cache);
     EXPECT_EQ(cache.hits(), hits_before);
   }
 }

@@ -12,13 +12,16 @@
 // whole wire stream and of a final snapshot() image, the
 // `service.ingest_to_collected_seconds` histogram, DaemonStats, the
 // RepairReport and the on_detect event list. On a mismatch the test prints
-// the new record; re-record only for an intended change of output.
+// the new record; re-record only for an intended change of output. The same
+// scenario with tighter collectors (4–7·n) pins no output, only that every
+// epoch runs and leaves each shard's forest valid.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <bit>
 #include <cstdint>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -87,16 +90,20 @@ std::ostream& operator<<(std::ostream& os, const Record& r) {
   return os << "}}";
 }
 
-SystemModel make_model() {
+SystemModel make_model(double collector_per_node) {
   SystemModel model(kNodes, 300.0, CostModel{10.0, 1.0});
-  model.set_collector_capacity(8.0 * static_cast<double>(kNodes));
+  model.set_collector_capacity(collector_per_node * static_cast<double>(kNodes));
   Rng attr_rng{11};
   model.assign_random_attributes(kUniverse, 6, attr_rng);
   return model;
 }
 
-Record run_golden(std::size_t shards) {
-  const SystemModel model = make_model();
+/// Runs the scenario with a collector of `collector_per_node`·n. With
+/// `validate_forests`, each shard's forest must validate against its real
+/// SystemModel after every epoch.
+Record run_golden(std::size_t shards, double collector_per_node = 8.0,
+                  bool validate_forests = false) {
+  const SystemModel model = make_model(collector_per_node);
   Record out;
 
   DaemonOptions options;
@@ -168,6 +175,11 @@ Record run_golden(std::size_t shards) {
       EXPECT_TRUE(admitted(daemon.submit_modify_task(std::move(next))));
     }
     daemon.run_epoch();
+    for (std::size_t k = 0; validate_forests && k < shards; ++k) {
+      MonitoringSystem& core = daemon.system().shard(k);
+      EXPECT_TRUE(core.topology(static_cast<double>(e)).validate(core.system()))
+          << "shard " << k << " at epoch " << e;
+    }
   }
 
   out.stream = stream.h;
@@ -244,6 +256,21 @@ TEST(DaemonGolden, RunsMatchRecordedOutput) {
                       got.events == want.events;
     EXPECT_TRUE(same) << "K=" << g.shards << "\n  recorded: " << want
                       << "\n  got:      {" << g.shards << ", " << got << "},";
+  }
+}
+
+// Repair and parking may spend the collector headroom the planning model
+// holds back, so a later replan sees the forest's collector usage above the
+// planning capacity. Tightening the collector reaches that state; replans
+// must still hand every tree a budget of at least its usage, never throw
+// out of run_epoch, and keep each shard's forest valid.
+TEST(DaemonGolden, TightCollectorRunsNeverThrowAndStayValid) {
+  for (const std::size_t shards : {1, 2}) {
+    for (const double per_node : {4.0, 5.0, 6.0, 7.0}) {
+      SCOPED_TRACE("K=" + std::to_string(shards) +
+                   " collector=" + std::to_string(per_node) + "n");
+      EXPECT_NO_THROW(run_golden(shards, per_node, /*validate_forests=*/true));
+    }
   }
 }
 

@@ -177,11 +177,11 @@ void BM_MergeGain(benchmark::State& state) {
   PairSet pairs(201);
   for (NodeId n = 1; n <= 200; ++n)
     for (AttrId a : random_set(rng, 10, 40)) pairs.add(n, a);
-  std::vector<AttrId> universe(40);
-  for (AttrId a = 0; a < 40; ++a) universe[a] = a;
-  const Partition p = Partition::singleton(universe);
+  // Two singleton sets' node lists, as the ranking gathers them.
+  const auto n3 = pairs.nodes_with(3);
+  const auto n17 = pairs.nodes_with(17);
   for (auto _ : state)
-    benchmark::DoNotOptimize(estimate_merge_gain(p, 3, 17, pairs, kCost));
+    benchmark::DoNotOptimize(estimate_merge_gain(intersection_size(n3, n17), kCost));
 }
 BENCHMARK(BM_MergeGain);
 

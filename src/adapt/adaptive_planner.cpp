@@ -290,7 +290,7 @@ void AdaptivePlanner::optimize(const PairSet& pairs,
             topology_.entries()[aug.set_a].tree.size(),
             topology_.entries()[aug.set_b].tree.size()));
       } else {
-        adapt_cost += static_cast<double>(pairs.nodes_with(aug.attr).size());
+        adapt_cost += static_cast<double>(pairs.attr_count(aug.attr));
       }
       aug.estimated_gain /= adapt_cost;  // gain now means effectiveness
       (aug.kind == AugmentKind::kMerge ? merges : splits).push_back(aug);

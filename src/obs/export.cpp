@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "common/json.h"
+
 namespace remo::obs {
 
 namespace {
@@ -45,7 +47,7 @@ std::string to_json(const RegistrySnapshot& snapshot, int indent) {
   std::size_t i = 0;
   for (const auto& [name, value] : snapshot.counters) {
     out += i++ == 0 ? "\n" : ",\n";
-    out += p + "    \"" + name + "\": " + std::to_string(value);
+    out += p + "    \"" + json_escape(name) + "\": " + std::to_string(value);
   }
   out += snapshot.counters.empty() ? "},\n" : "\n" + p + "  },\n";
 
@@ -53,7 +55,7 @@ std::string to_json(const RegistrySnapshot& snapshot, int indent) {
   i = 0;
   for (const auto& [name, value] : snapshot.gauges) {
     out += i++ == 0 ? "\n" : ",\n";
-    out += p + "    \"" + name + "\": " + fmt(value);
+    out += p + "    \"" + json_escape(name) + "\": " + fmt(value);
   }
   out += snapshot.gauges.empty() ? "},\n" : "\n" + p + "  },\n";
 
@@ -61,7 +63,7 @@ std::string to_json(const RegistrySnapshot& snapshot, int indent) {
   i = 0;
   for (const auto& [name, h] : snapshot.histograms) {
     out += i++ == 0 ? "\n" : ",\n";
-    out += p + "    \"" + name + "\": ";
+    out += p + "    \"" + json_escape(name) + "\": ";
     append_histogram_json(out, h, p + "    ");
   }
   out += snapshot.histograms.empty() ? "}\n" : "\n" + p + "  }\n";
@@ -109,7 +111,7 @@ std::string to_json(const std::vector<SpanRecord>& spans, int indent) {
     const SpanRecord& s = spans[i];
     out += p + "  {\"id\": " + std::to_string(s.id) +
            ", \"parent\": " + std::to_string(s.parent) + ", \"name\": \"" +
-           s.name + "\", \"start_s\": " + fmt(s.start_s) +
+           json_escape(s.name) + "\", \"start_s\": " + fmt(s.start_s) +
            ", \"duration_s\": " + fmt(s.duration_s) + "}";
     out += i + 1 < spans.size() ? ",\n" : "\n";
   }

@@ -28,67 +28,18 @@ AugmentationFootprint footprint(const Partition& p, const Augmentation& aug) {
   return fp;
 }
 
-double estimate_merge_gain(const Partition& p, std::size_t i, std::size_t j,
-                           const PairSet& pairs, const CostModel& cost) {
-  const auto ni = pairs.nodes_with_any(p.set(i));
-  const auto nj = pairs.nodes_with_any(p.set(j));
-  const auto shared = intersection_size(ni, nj);
-  return 2.0 * cost.per_message * static_cast<double>(shared);
+double estimate_merge_gain(std::size_t shared_nodes, const CostModel& cost) {
+  return 2.0 * cost.per_message * static_cast<double>(shared_nodes);
 }
 
-double estimate_split_gain(const Partition& p, std::size_t i, AttrId attr,
-                           const PairSet& pairs, const CostModel& cost) {
-  const auto& set = p.set(i);
-  const auto rest = set_difference(set, std::vector<AttrId>{attr});
-  const auto n_attr = pairs.nodes_with(attr);
-  const auto n_rest = pairs.nodes_with_any(rest);
-  const auto both = intersection_size(n_attr, n_rest);
-  // Payload relieved from tree i: one value of `attr` per monitoring node,
-  // no longer mixed into the (potentially overloaded) shared tree.
-  const double relieved = cost.per_value * static_cast<double>(n_attr.size());
-  const double overhead = 2.0 * cost.per_message * static_cast<double>(both);
+double estimate_split_gain(std::size_t attr_nodes, std::size_t shared_nodes,
+                           const CostModel& cost) {
+  // Payload relieved from the set's tree: one value of the attribute per
+  // monitoring node, no longer mixed into the (potentially overloaded)
+  // shared tree.
+  const double relieved = cost.per_value * static_cast<double>(attr_nodes);
+  const double overhead = 2.0 * cost.per_message * static_cast<double>(shared_nodes);
   return relieved - overhead;
-}
-
-std::vector<Augmentation> ranked_augmentations(const Partition& p,
-                                               const PairSet& pairs,
-                                               const CostModel& cost,
-                                               const ConflictConstraints& conflicts,
-                                               std::size_t max_candidates,
-                                               const std::vector<double>* set_bonus) {
-  std::vector<Augmentation> out;
-  const std::size_t k = p.num_sets();
-  auto bonus = [&](std::size_t i) {
-    return set_bonus != nullptr && i < set_bonus->size() ? (*set_bonus)[i] : 0.0;
-  };
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = i + 1; j < k; ++j) {
-      if (conflicts.blocks_merge(p.set(i), p.set(j))) continue;
-      Augmentation a;
-      a.kind = AugmentKind::kMerge;
-      a.set_a = i;
-      a.set_b = j;
-      a.estimated_gain =
-          estimate_merge_gain(p, i, j, pairs, cost) + bonus(i) + bonus(j);
-      out.push_back(a);
-    }
-    if (p.set(i).size() >= 2) {
-      for (AttrId attr : p.set(i)) {
-        Augmentation a;
-        a.kind = AugmentKind::kSplit;
-        a.set_a = i;
-        a.attr = attr;
-        a.estimated_gain = estimate_split_gain(p, i, attr, pairs, cost) + bonus(i);
-        out.push_back(a);
-      }
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Augmentation& a, const Augmentation& b) {
-                     return a.estimated_gain > b.estimated_gain;
-                   });
-  if (max_candidates > 0 && out.size() > max_candidates) out.resize(max_candidates);
-  return out;
 }
 
 }  // namespace remo

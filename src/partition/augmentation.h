@@ -1,8 +1,9 @@
-// Guided partition augmentation (Sec. 3.1.1): enumerate the neighboring
-// solutions of a partition (one merge or one split away) and rank them by
-// the estimated reduction in total capacity usage, so the planner can
-// evaluate only the most promising few with (expensive) resource-aware
-// tree construction.
+// Guided partition augmentation (Sec. 3.1.1): the neighboring solutions of
+// a partition (one merge or one split away), their rebuild footprints, and
+// the estimated reduction in total capacity usage that ranks them, so the
+// planner can evaluate only the most promising few with (expensive)
+// resource-aware tree construction. The one candidate generator is the
+// planner's rank_topology_augmentations (planner/planner.h).
 //
 // The exact gain formula lives in the paper's online appendix, which is
 // not part of the provided text; the estimates here implement what the
@@ -30,7 +31,6 @@
 
 #include "cost/cost_model.h"
 #include "partition/partition.h"
-#include "task/pair_set.h"
 
 namespace remo {
 
@@ -62,26 +62,14 @@ struct AugmentationFootprint {
 
 AugmentationFootprint footprint(const Partition& p, const Augmentation& aug);
 
-/// Estimated gain of merging sets `i` and `j` of `p` (see file comment).
-double estimate_merge_gain(const Partition& p, std::size_t i, std::size_t j,
-                           const PairSet& pairs, const CostModel& cost);
+/// Estimated gain of merging two sets whose trees share `shared_nodes`
+/// nodes — nodes monitoring attributes of both (see file comment).
+double estimate_merge_gain(std::size_t shared_nodes, const CostModel& cost);
 
-/// Estimated gain of splitting `attr` out of set `i`.
-double estimate_split_gain(const Partition& p, std::size_t i, AttrId attr,
-                           const PairSet& pairs, const CostModel& cost);
-
-/// All neighboring solutions of `p` (every legal merge and split, minus
-/// those blocked by `conflicts`), ranked by decreasing estimated gain.
-/// `max_candidates` truncates the list (0 = no limit).
-///
-/// `set_bonus` (optional, one entry per partition set) is added to the
-/// estimate of every candidate touching that set. The planner passes the
-/// capacity value of each tree's *uncollected* pairs here, so operations
-/// involving starved trees — whose reshaping can recover real coverage,
-/// not just shave overhead — are evaluated first.
-std::vector<Augmentation> ranked_augmentations(
-    const Partition& p, const PairSet& pairs, const CostModel& cost,
-    const ConflictConstraints& conflicts, std::size_t max_candidates = 0,
-    const std::vector<double>* set_bonus = nullptr);
+/// Estimated gain of splitting an attribute out of its set: `attr_nodes`
+/// nodes monitor the attribute, `shared_nodes` of them also monitor
+/// another attribute of the set.
+double estimate_split_gain(std::size_t attr_nodes, std::size_t shared_nodes,
+                           const CostModel& cost);
 
 }  // namespace remo

@@ -1,6 +1,7 @@
 #include "planner/planner.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/check.h"
 #include "common/sorted_vector.h"
@@ -11,7 +12,52 @@ namespace remo {
 
 namespace {
 constexpr double kCostEps = 1e-9;
-}
+
+/// What the gain estimates read from the pair set, gathered in one pass
+/// over it per ranking: per partition set, the nodes monitoring any of its
+/// attributes (ascending), and per attribute (by position in its set), the
+/// nodes monitoring it and those of them monitoring another attribute of
+/// the set too. The same integers nodes_with / nodes_with_any give.
+struct SetNodeLists {
+  std::vector<std::vector<NodeId>> nodes;
+  std::vector<std::vector<std::size_t>> attr_nodes, shared_nodes;
+
+  SetNodeLists(const Partition& p, const PairSet& pairs) {
+    const std::size_t k = p.num_sets();
+    nodes.resize(k);
+    attr_nodes.resize(k);
+    shared_nodes.resize(k);
+    // (attribute, set, position in set), sorted by attribute.
+    std::vector<std::tuple<AttrId, std::size_t, std::size_t>> where;
+    for (std::size_t i = 0; i < k; ++i) {
+      attr_nodes[i].assign(p.set(i).size(), 0);
+      shared_nodes[i].assign(p.set(i).size(), 0);
+      for (std::size_t pos = 0; pos < p.set(i).size(); ++pos)
+        where.emplace_back(p.set(i)[pos], i, pos);
+    }
+    std::sort(where.begin(), where.end());
+    std::vector<std::size_t> hits(k, 0);  // node's attributes per set
+    std::vector<std::pair<std::size_t, std::size_t>> found;  // (set, pos)
+    for (NodeId n = 0; n < pairs.num_vertices(); ++n) {
+      found.clear();
+      for (AttrId a : pairs.attrs_of(n)) {
+        const auto it = std::lower_bound(
+            where.begin(), where.end(), a,
+            [](const auto& w, AttrId x) { return std::get<0>(w) < x; });
+        if (it == where.end() || std::get<0>(*it) != a) continue;
+        found.emplace_back(std::get<1>(*it), std::get<2>(*it));
+        if (hits[std::get<1>(*it)]++ == 0) nodes[std::get<1>(*it)].push_back(n);
+      }
+      for (const auto& [set, pos] : found) {
+        ++attr_nodes[set][pos];
+        if (hits[set] >= 2) ++shared_nodes[set][pos];
+      }
+      for (const auto& f : found) hits[f.first] = 0;
+    }
+  }
+};
+
+}  // namespace
 
 const char* to_string(PartitionScheme s) noexcept {
   switch (s) {
@@ -51,6 +97,7 @@ std::vector<Augmentation> rank_topology_augmentations(
   }
 
   const Partition p = topo.partition();  // sets in entry order
+  const SetNodeLists lists(p, pairs);
   std::vector<Augmentation> out;
   for (std::size_t i = 0; i < k; ++i) {
     for (std::size_t j = i + 1; j < k; ++j) {
@@ -64,20 +111,23 @@ std::vector<Augmentation> rank_topology_augmentations(
           starvation_bonus
               ? std::min(starved[i] + starved[j], collected[i] + collected[j])
               : 0.0;
-      a.estimated_gain = estimate_merge_gain(p, i, j, pairs, cost) +
-                         cost.per_message * recoverable;
+      a.estimated_gain =
+          estimate_merge_gain(intersection_size(lists.nodes[i], lists.nodes[j]),
+                              cost) +
+          cost.per_message * recoverable;
       out.push_back(a);
     }
     if (involved(i) && p.set(i).size() >= 2) {
-      for (AttrId attr : p.set(i)) {
+      for (std::size_t pos = 0; pos < p.set(i).size(); ++pos) {
         Augmentation a;
         a.kind = AugmentKind::kSplit;
         a.set_a = i;
-        a.attr = attr;
+        a.attr = p.set(i)[pos];
         // A split's upside is letting starved members deliver a subset of
         // their attributes; it needs starvation, not released capacity.
         a.estimated_gain =
-            estimate_split_gain(p, i, attr, pairs, cost) +
+            estimate_split_gain(lists.attr_nodes[i][pos],
+                                lists.shared_nodes[i][pos], cost) +
             (starvation_bonus ? cost.per_message * starved[i] : 0.0);
         out.push_back(a);
       }

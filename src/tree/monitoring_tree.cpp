@@ -16,16 +16,6 @@ std::size_t row_sum(const std::uint32_t* row, std::size_t n) noexcept {
 }
 }  // namespace
 
-#if REMO_DCHECK_ENABLED
-void CountSpan::check_fresh() const {
-  REMO_DCHECK(owner_ == nullptr || generation_ == owner_->debug_generation(),
-              "stale CountSpan: tree mutated since the view was taken "
-              "(view generation=", generation_,
-              " tree generation=", owner_ ? owner_->debug_generation() : 0,
-              ") — copy in_counts()/local_counts() before mutating");
-}
-#endif
-
 std::uint64_t send_period(double weight) noexcept {
   const double w = std::clamp(weight, 1e-6, 1.0);
   return std::max<std::uint64_t>(
@@ -200,11 +190,7 @@ void MonitoringTree::set_avail(NodeId id, Capacity avail) {
 }
 
 CountSpan MonitoringTree::in_counts(NodeId id) const {
-#if REMO_DCHECK_ENABLED
   return CountSpan{in_row(slot_of(id)), attrs_.size(), this, generation_};
-#else
-  return CountSpan{in_row(slot_of(id)), attrs_.size()};
-#endif
 }
 
 std::vector<std::uint32_t> MonitoringTree::out_counts(NodeId id) const {
@@ -215,11 +201,7 @@ std::vector<std::uint32_t> MonitoringTree::out_counts(NodeId id) const {
 }
 
 CountSpan MonitoringTree::local_counts(NodeId id) const {
-#if REMO_DCHECK_ENABLED
   return CountSpan{local_row(slot_of(id)), attrs_.size(), this, generation_};
-#else
-  return CountSpan{local_row(slot_of(id)), attrs_.size()};
-#endif
 }
 
 Capacity MonitoringTree::total_cost() const {
@@ -414,10 +396,7 @@ bool MonitoringTree::can_attach(const BuildItem& item, NodeId parent,
 
 MonitoringTree::AttachScan::AttachScan(const MonitoringTree& tree,
                                        const BuildItem& item)
-    : tree_(&tree), item_(&item) {
-#if REMO_DCHECK_ENABLED
-  generation_ = tree.generation_;
-#endif
+    : tree_(&tree), item_(&item), generation_(tree.generation_) {
   if (item.local.size() != tree.attrs_.size())
     throw std::invalid_argument("BuildItem count vector size mismatch");
   if (tree.contains(item.id)) {
@@ -425,14 +404,29 @@ MonitoringTree::AttachScan::AttachScan(const MonitoringTree& tree,
     return;
   }
   const double y = tree.weighted_out(item.local.data());
-  const Capacity u = tree.cost_.per_message + tree.cost_.per_value * y;
-  if (u > item.avail + kEps) {
+  child_u_ = tree.cost_.per_message + tree.cost_.per_value * y;
+  if (child_u_ > item.avail + kEps) {
     self_fail_ = true;
     return;
   }
-  if (!tree.uniform_identity_) return;  // queries fall back to the walk
-  fast_ = true;
-  tree.build_attach_masks(item, u);
+  fast_ = tree.uniform_identity_;  // else queries fall back to the walk
+}
+
+// Both walk predicates at a member slot q, verbatim from
+// feasible_walk_identity: the parent hop (the child's message joins q) and
+// the ancestor hop (q's message grows by the child's payload). The
+// collector's parent hop reads its receive load only.
+bool MonitoringTree::hop_fails(Slot q, Capacity child_u,
+                               Capacity pvd) const noexcept {
+  if (q == kRootSlot) return recv_[q] + child_u > avail_[q] + kEps;
+  const Capacity use = cost_.per_message + cost_.per_value * y_[q] + recv_[q];
+  return (use + child_u) + pvd > avail_[q] + kEps;
+}
+
+bool MonitoringTree::parent_hop_fails(NodeId v, std::uint64_t total) const {
+  const double dsum = static_cast<double>(total);
+  return hop_fails(slot_of(v), cost_.per_message + cost_.per_value * dsum,
+                   cost_.per_value * dsum);
 }
 
 void MonitoringTree::build_attach_masks(const BuildItem& item,
@@ -449,19 +443,21 @@ void MonitoringTree::build_attach_masks(const BuildItem& item,
   scan_done_.resize(slots);
   scan_anc_blocker_.resize(slots);
 
-  scan_pfail_[kRootSlot] = recv_[kRootSlot] + child_u > avail_[kRootSlot] + kEps;
-  const bool root_afail = recv_[kRootSlot] + pvd > avail_[kRootSlot] + kEps;
-  scan_anc_blocker_[kRootSlot] = root_afail ? kCollectorId : kNoNode;
+  // The collector's own parent hop is answered without the masks
+  // (AttachScan::can_attach); only its ancestor hop seeds the chase.
+  scan_anc_blocker_[kRootSlot] =
+      hop_fails(kRootSlot, pvd, pvd) ? kCollectorId : kNoNode;
   scan_done_[kRootSlot] = 1;
 
   // One linear pass over the arena: both hop predicates of
   // feasible_walk_identity, evaluated with its verbatim expressions (this
   // is what makes every query agree with the walk bit for bit). Free slots
-  // get garbage values from stale loads; they are never queried.
+  // get garbage values from stale loads; they are never queried. The
+  // ancestor hop is the parent hop with the child's message cost replaced
+  // by its payload cost.
   for (Slot q = 1; q < slots; ++q) {
-    const Capacity use = cost_.per_message + cost_.per_value * y_[q] + recv_[q];
-    scan_pfail_[q] = (use + child_u) + pvd > avail_[q] + kEps;
-    scan_afail_[q] = (use + pvd) + pvd > avail_[q] + kEps;
+    scan_pfail_[q] = hop_fails(q, child_u, pvd);
+    scan_afail_[q] = hop_fails(q, pvd, pvd);
     scan_done_[q] = 0;
   }
 
@@ -488,10 +484,8 @@ void MonitoringTree::build_attach_masks(const BuildItem& item,
 bool MonitoringTree::AttachScan::can_attach(NodeId parent,
                                             NodeId* blocker) const {
   const MonitoringTree& t = *tree_;
-#if REMO_DCHECK_ENABLED
   REMO_DCHECK(generation_ == t.generation_,
               "stale AttachScan: tree mutated since attach_scan()");
-#endif
   if (item_member_ || !t.contains(parent)) return false;
   if (self_fail_) {
     if (blocker) *blocker = item_->id;
@@ -499,11 +493,21 @@ bool MonitoringTree::AttachScan::can_attach(NodeId parent,
   }
   if (!fast_) return t.can_attach(*item_, parent, blocker);
   const Slot v = t.lookup_[parent];
-  if (t.scan_pfail_[v]) {
-    if (blocker) *blocker = v == kRootSlot ? kCollectorId : t.id_[v];
+  if (v == kRootSlot) {
+    // The collector's parent hop is the whole walk: no masks needed.
+    if (!t.hop_fails(kRootSlot, child_u_, 0.0)) return true;
+    if (blocker) *blocker = kCollectorId;
     return false;
   }
-  if (v == kRootSlot || t.scan_skip_anc_) return true;
+  if (!masks_built_) {
+    t.build_attach_masks(*item_, child_u_);
+    masks_built_ = true;
+  }
+  if (t.scan_pfail_[v]) {
+    if (blocker) *blocker = t.id_[v];
+    return false;
+  }
+  if (t.scan_skip_anc_) return true;
   const NodeId anc = t.scan_anc_blocker_[t.parent_[v]];
   if (anc != kNoNode) {
     if (blocker) *blocker = anc;

@@ -54,11 +54,13 @@ class MonitoringTree;
 /// A borrowed per-metric count row (`in_counts` / `local_counts`): a view
 /// into the owning tree's arena, invalidated by ANY subsequent mutation of
 /// that tree (the arena reallocates and slots are recycled). Do not store
-/// one across a mutating call — copy the values instead. In debug and
-/// sanitizer builds (REMO_DCHECK_ENABLED) the view captures the tree's
-/// mutation generation and every element access re-checks freshness, so a
+/// one across a mutating call — copy the values instead. The view captures
+/// the tree's mutation generation; in debug and sanitizer builds
+/// (REMO_DCHECK_ENABLED) every element access re-checks freshness, so a
 /// stale dereference aborts with context instead of reading recycled
-/// memory; release builds compile it down to a bare (pointer, size) pair.
+/// memory, and release builds skip the check. The layout is the same in
+/// every build, so a caller compiled with a different NDEBUG from the
+/// library's agrees with it on the object.
 class CountSpan {
  public:
   CountSpan() = default;
@@ -90,20 +92,15 @@ class CountSpan {
  private:
   friend class MonitoringTree;
 
-  const std::uint32_t* data_ = nullptr;
-  std::size_t size_ = 0;
-#if REMO_DCHECK_ENABLED
   CountSpan(const std::uint32_t* data, std::size_t size,
             const MonitoringTree* owner, std::uint64_t generation) noexcept
       : data_(data), size_(size), owner_(owner), generation_(generation) {}
   void check_fresh() const;  // aborts via REMO_DCHECK when stale
+
+  const std::uint32_t* data_ = nullptr;
+  std::size_t size_ = 0;
   const MonitoringTree* owner_ = nullptr;
   std::uint64_t generation_ = 0;
-#else
-  CountSpan(const std::uint32_t* data, std::size_t size) noexcept
-      : data_(data), size_(size) {}
-  void check_fresh() const noexcept {}
-#endif
 };
 
 /// One attribute delivered by a tree, with its funnel and frequency weight.
@@ -259,11 +256,13 @@ class MonitoringTree {
   /// parent scan asks can_attach(item, v) for *every* vertex of the tree).
   /// On uniform-identity trees the walk's per-hop predicates depend on the
   /// item only through two constants (its message cost and its out total),
-  /// so constructing the scan evaluates them for every slot in one O(slots)
-  /// pass — the per-slot checks use the exact expressions of
-  /// feasible_walk_identity, so each query returns the same boolean and the
-  /// same blocker, bit for bit — and each can_attach() query is then O(1).
-  /// Non-identity trees fall back to the per-candidate walk transparently.
+  /// so the scan evaluates them for every slot in one O(slots) pass — the
+  /// per-slot checks use the exact expressions of feasible_walk_identity,
+  /// so each query returns the same boolean and the same blocker, bit for
+  /// bit — and each can_attach() query is then O(1). The pass runs on the
+  /// first query about a member: constructing the scan and asking about
+  /// the collector alone cost O(1). Non-identity trees fall back to the
+  /// per-candidate walk transparently.
   /// The scan borrows tree scratch: it is invalidated by any mutation of
   /// the tree and at most one scan per tree may be live at a time.
   class AttachScan {
@@ -280,12 +279,12 @@ class MonitoringTree {
     AttachScan(const MonitoringTree& tree, const BuildItem& item);
     const MonitoringTree* tree_;
     const BuildItem* item_;
-    bool fast_ = false;         // identity masks valid; else walk fallback
+    Capacity child_u_ = 0;      // the item's message cost C + a·y
+    bool fast_ = false;         // identity masks apply; else walk fallback
+    mutable bool masks_built_ = false;  // on the first member query
     bool item_member_ = false;  // item.id already in the tree: always false
     bool self_fail_ = false;    // item cannot afford its own message
-#if REMO_DCHECK_ENABLED
-    std::uint64_t generation_ = 0;
-#endif
+    std::uint64_t generation_ = 0;  // checked under REMO_DCHECK_ENABLED
   };
   AttachScan attach_scan(const BuildItem& item) const {
     return AttachScan(*this, item);
@@ -311,6 +310,15 @@ class MonitoringTree {
     if (uniform_identity_) return {total, {}};
     return {total, item.local};
   }
+  /// The parent-hop check an AttachScan of a uniform-identity item with
+  /// value total `total` evaluates at vertex `v`: true iff hanging that
+  /// item's message under `v` overloads `v` itself (for the collector, its
+  /// receive budget). Monotone in `total`. When the check passes at the
+  /// collector, the blockers such a scan reports over the members are
+  /// exactly the members where it fails (DESIGN.md §15) — the builder's
+  /// collector-first construction records them with this check instead of
+  /// a scan.
+  bool parent_hop_fails(NodeId v, std::uint64_t total) const;
   /// Attach; aborts the process if infeasible (callers check first).
   void attach(const BuildItem& item, NodeId parent);
   /// Fused feasibility-test + attach: performs the upward feasibility walk
@@ -382,11 +390,10 @@ class MonitoringTree {
   /// any violation.
   bool validate() const;
 
-#if REMO_DCHECK_ENABLED
-  /// Mutation counter backing CountSpan's staleness check (debug/sanitizer
-  /// builds only): bumped by every operation that changes tree state.
+  /// Mutation counter backing the CountSpan and AttachScan staleness
+  /// checks (armed in debug/sanitizer builds): bumped by every operation
+  /// that changes tree state.
   std::uint64_t debug_generation() const noexcept { return generation_; }
-#endif
 
  private:
   using Slot = std::uint32_t;
@@ -411,13 +418,12 @@ class MonitoringTree {
   Slot alloc_slot();                       // from the free list, or grows arena
   double weighted_out(const std::uint32_t* in) const;
 
-  /// Invalidate outstanding CountSpans (debug builds) and the memoized
-  /// total_cost(). Every mutating operation calls this before returning.
+  /// Invalidate outstanding CountSpans and AttachScans (checked in debug
+  /// builds) and the memoized total_cost(). Every mutating operation calls
+  /// this before returning.
   void bump_generation() noexcept {
     cost_cache_.valid.store(false, std::memory_order_relaxed);
-#if REMO_DCHECK_ENABLED
     ++generation_;
-#endif
   }
   /// Deep-validation hook: every mutating operation funnels through this
   /// before returning, so under REMO_VALIDATE=1 an invariant break aborts
@@ -443,6 +449,12 @@ class MonitoringTree {
   bool feasible_add(Slot parent, const std::uint32_t* child_out, double child_u,
                     NodeId* blocker) const;
 
+  /// The parent-hop predicate of feasible_walk_identity at slot `q` for a
+  /// child message of cost `child_u` whose payload costs `pvd` = a·total
+  /// at every hop (the collector's check reads only its receive load). The
+  /// one copy of the expression: the attach masks, the scan's collector
+  /// query and parent_hop_fails() all call it.
+  bool hop_fails(Slot q, Capacity child_u, Capacity pvd) const noexcept;
   /// Fills the attach-scan masks for `item` (uniform-identity trees only):
   /// per-slot parent-hop and ancestor-hop predicate results plus each
   /// slot's nearest failing ancestor, using the identity walk's verbatim
@@ -502,7 +514,8 @@ class MonitoringTree {
   mutable simd::AlignedVector<std::uint32_t> out_scratch_;
 
   // Attach-scan masks (AttachScan): per-slot predicate results for one
-  // fixed item. pfail = the parent-hop check fails at this slot; afail =
+  // fixed item. pfail = the parent-hop check fails at this member slot
+  // (the collector's is answered without the masks); afail =
   // the ancestor-hop check fails; anc_blocker = nearest vertex on the
   // slot's root path (inclusive) whose ancestor-hop check fails, kNoNode
   // if the whole chain passes.
@@ -556,9 +569,17 @@ class MonitoringTree {
   std::vector<std::uint32_t> jcounts_;  // pooled count-row snapshots
   std::vector<NodeId> jnodes_;          // pooled children-list snapshots
 
-#if REMO_DCHECK_ENABLED
   std::uint64_t generation_ = 0;  // see debug_generation()
-#endif
 };
+
+inline void CountSpan::check_fresh() const {
+#if REMO_DCHECK_ENABLED
+  REMO_DCHECK(owner_ == nullptr || generation_ == owner_->debug_generation(),
+              "stale CountSpan: tree mutated since the view was taken "
+              "(view generation=", generation_,
+              " tree generation=", owner_ ? owner_->debug_generation() : 0,
+              ") — copy in_counts()/local_counts() before mutating");
+#endif
+}
 
 }  // namespace remo

@@ -105,5 +105,32 @@ TEST(ExportJson, SpanListGolden) {
   EXPECT_EQ(to_json(std::vector<SpanRecord>{}, 4), "    []");
 }
 
+TEST(ExportJson, EscapesMetricAndSpanNames) {
+  // A name holding a quote, a backslash or a newline must not end the JSON
+  // string early: each kind of name is written as an escaped literal.
+  const std::string name = "odd\"name\\with\nbreak";
+  const std::string escaped = "odd\\\"name\\\\with\\nbreak";
+  Registry reg;
+  reg.counter(name).add(1);
+  reg.gauge(name).add(0.5);
+  reg.histogram(name, {1.0}).observe(2.0);
+  const std::string json = to_json(reg.snapshot());
+  EXPECT_NE(json.find("\"counters\": {\n    \"" + escaped + "\": 1\n"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"gauges\": {\n    \"" + escaped + "\": 0.5\n"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"histograms\": {\n    \"" + escaped + "\": {"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find(name), std::string::npos);
+
+  const std::vector<SpanRecord> spans{{1, 0, name, 0.0, 1.0}};
+  EXPECT_EQ(to_json(spans),
+            "[\n  {\"id\": 1, \"parent\": 0, \"name\": \"" + escaped +
+                "\", \"start_s\": 0, \"duration_s\": 1}\n]");
+}
+
 }  // namespace
 }  // namespace remo::obs

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/sorted_vector.h"
+#include "task/pair_set.h"
+
 namespace remo {
 namespace {
 
@@ -18,19 +21,23 @@ PairSet overlap_pairs() {
 
 TEST(Augmentation, MergeGainScalesWithSharedNodes) {
   const auto pairs = overlap_pairs();
-  Partition p({{0}, {1}, {2}});
+  const auto shared = [&](AttrId a, AttrId b) {
+    return intersection_size(pairs.nodes_with(a), pairs.nodes_with(b));
+  };
   // attrs 0 and 1 share nodes {3,4}: gain 2*C*2 = 40.
-  EXPECT_DOUBLE_EQ(estimate_merge_gain(p, 0, 1, pairs, kCost), 40.0);
+  EXPECT_DOUBLE_EQ(estimate_merge_gain(shared(0, 1), kCost), 40.0);
   // attrs 0 and 2 share nothing.
-  EXPECT_DOUBLE_EQ(estimate_merge_gain(p, 0, 2, pairs, kCost), 0.0);
+  EXPECT_DOUBLE_EQ(estimate_merge_gain(shared(0, 2), kCost), 0.0);
 }
 
 TEST(Augmentation, SplitGainBalancesReliefAndOverhead) {
   const auto pairs = overlap_pairs();
-  Partition p({{0, 1}, {2}});
   // Splitting attr 1 out of {0,1}: relieved a*|N_1| = 4; shared nodes with
   // the rest ({3,4}) pay 2*C each = 40 overhead. Net -36.
-  EXPECT_DOUBLE_EQ(estimate_split_gain(p, 0, 1, pairs, kCost), 4.0 - 40.0);
+  const auto n1 = pairs.nodes_with(1);
+  EXPECT_DOUBLE_EQ(
+      estimate_split_gain(n1.size(), intersection_size(n1, pairs.nodes_with(0)), kCost),
+      4.0 - 40.0);
 }
 
 TEST(Augmentation, ApplyMergeAndSplit) {
@@ -40,69 +47,6 @@ TEST(Augmentation, ApplyMergeAndSplit) {
   EXPECT_EQ(merged, Partition({{0, 1}, {2}}));
   Augmentation s{AugmentKind::kSplit, 0, 0, 1, 0.0};
   EXPECT_EQ(apply(merged, s), Partition({{0}, {1}, {2}}));
-}
-
-TEST(Augmentation, RankedListSortedByGain) {
-  const auto pairs = overlap_pairs();
-  Partition p({{0}, {1}, {2}});
-  const auto ranked =
-      ranked_augmentations(p, pairs, kCost, ConflictConstraints{}, 0);
-  // 3 merges possible, no splits (all singleton sets).
-  ASSERT_EQ(ranked.size(), 3u);
-  for (std::size_t i = 1; i < ranked.size(); ++i)
-    EXPECT_GE(ranked[i - 1].estimated_gain, ranked[i].estimated_gain);
-  EXPECT_EQ(ranked[0].kind, AugmentKind::kMerge);
-  // The top candidate must be the 0-1 merge (the only one with overlap).
-  EXPECT_EQ(ranked[0].set_a, 0u);
-  EXPECT_EQ(ranked[0].set_b, 1u);
-}
-
-TEST(Augmentation, IncludesSplitsForMultiAttrSets) {
-  const auto pairs = overlap_pairs();
-  Partition p({{0, 1}, {2}});
-  const auto ranked =
-      ranked_augmentations(p, pairs, kCost, ConflictConstraints{}, 0);
-  // 1 merge + 2 splits.
-  ASSERT_EQ(ranked.size(), 3u);
-  std::size_t splits = 0;
-  for (const auto& a : ranked) splits += a.kind == AugmentKind::kSplit;
-  EXPECT_EQ(splits, 2u);
-}
-
-TEST(Augmentation, ConflictsFilterMerges) {
-  const auto pairs = overlap_pairs();
-  Partition p({{0}, {1}, {2}});
-  ConflictConstraints c;
-  c.forbid(0, 1);
-  const auto ranked = ranked_augmentations(p, pairs, kCost, c, 0);
-  for (const auto& a : ranked) {
-    if (a.kind != AugmentKind::kMerge) continue;
-    EXPECT_FALSE(a.set_a == 0 && a.set_b == 1);
-  }
-  EXPECT_EQ(ranked.size(), 2u);
-}
-
-TEST(Augmentation, MaxCandidatesTruncates) {
-  const auto pairs = overlap_pairs();
-  Partition p({{0}, {1}, {2}});
-  EXPECT_EQ(ranked_augmentations(p, pairs, kCost, ConflictConstraints{}, 1).size(),
-            1u);
-}
-
-TEST(Augmentation, NeighborCountMatchesDefinition3) {
-  // For k sets with sizes s_i, neighbors = C(k,2) merges + Σ_{s_i>=2} s_i
-  // splits.
-  const auto pairs = overlap_pairs();
-  Partition p({{0, 1}, {2}});
-  const auto ranked =
-      ranked_augmentations(p, pairs, kCost, ConflictConstraints{}, 0);
-  EXPECT_EQ(ranked.size(), 1u /*merge*/ + 2u /*splits of {0,1}*/);
-}
-
-TEST(Augmentation, EmptyPartitionYieldsNothing) {
-  EXPECT_TRUE(ranked_augmentations(Partition{}, PairSet(3), kCost,
-                                   ConflictConstraints{}, 0)
-                  .empty());
 }
 
 }  // namespace

@@ -1,15 +1,13 @@
-// Property sweeps over partitions: random operation sequences preserve
-// partition validity, and the neighboring-solution count matches the
-// closed form of Definition 3.
+// Property sweep over partitions: random operation sequences preserve
+// partition validity. The neighboring-solution properties of Definition 3
+// run against the candidate generator (tests/planner/test_ranking.cpp).
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "partition/augmentation.h"
+#include "partition/partition.h"
 
 namespace remo {
 namespace {
-
-const CostModel kCost{10.0, 1.0};
 
 class PartitionFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -44,55 +42,6 @@ TEST_P(PartitionFuzz, RandomMergeSplitSequencesStayValid) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionFuzz,
                          ::testing::Values(11, 22, 33, 44, 55));
-
-TEST(PartitionProperty, NeighborCountMatchesClosedForm) {
-  // |neighbors(P)| = C(k,2) merges + Σ_{|A_i| >= 2} |A_i| splits.
-  Rng rng{77};
-  PairSet pairs(30);
-  for (NodeId n = 1; n < 30; ++n)
-    for (AttrId a = 0; a < 12; ++a)
-      if (rng.bernoulli(0.4)) pairs.add(n, a);
-  std::vector<AttrId> universe;
-  for (AttrId a = 0; a < 12; ++a) universe.push_back(a);
-
-  for (int trial = 0; trial < 20; ++trial) {
-    // Random partition: assign each attr to one of g groups.
-    const std::size_t g = 1 + rng.below(5);
-    std::vector<std::vector<AttrId>> groups(g);
-    for (AttrId a : universe) groups[rng.below(g)].push_back(a);
-    Partition p(groups);
-
-    const std::size_t k = p.num_sets();
-    std::size_t expected = k * (k - 1) / 2;
-    for (std::size_t i = 0; i < k; ++i)
-      if (p.set(i).size() >= 2) expected += p.set(i).size();
-
-    const auto all =
-        ranked_augmentations(p, pairs, kCost, ConflictConstraints{}, 0);
-    EXPECT_EQ(all.size(), expected) << p.to_string();
-  }
-}
-
-TEST(PartitionProperty, ApplyingAnyNeighborPreservesUniverse) {
-  Rng rng{99};
-  PairSet pairs(10);
-  for (NodeId n = 1; n < 10; ++n)
-    for (AttrId a = 0; a < 8; ++a) pairs.add(n, a);
-  std::vector<AttrId> universe;
-  for (AttrId a = 0; a < 8; ++a) universe.push_back(a);
-  Partition p({{0, 1, 2}, {3}, {4, 5, 6, 7}});
-
-  for (const auto& aug :
-       ranked_augmentations(p, pairs, kCost, ConflictConstraints{}, 0)) {
-    const Partition q = apply(p, aug);
-    EXPECT_TRUE(q.valid_over(universe));
-    // A merge shrinks the set count by one; a split grows it by one.
-    if (aug.kind == AugmentKind::kMerge)
-      EXPECT_EQ(q.num_sets(), p.num_sets() - 1);
-    else
-      EXPECT_EQ(q.num_sets(), p.num_sets() + 1);
-  }
-}
 
 }  // namespace
 }  // namespace remo

@@ -161,9 +161,12 @@ ChurnResult run_churn(std::size_t nodes) {
                     .histogram("planner.delta.replan_seconds",
                                obs::Histogram::time_bounds())
                     .snapshot();
-  // Ride the per-size counters into the bench JSON telemetry.
-  obs::publish_labeled(incr_registry.snapshot(), "n" + std::to_string(nodes),
-                       obs::Registry::global());
+  // Ride the per-size metrics into the bench JSON telemetry. The label is
+  // built by appending: GCC 12 raises a false -Wrestrict on
+  // "n" + std::to_string(...) at -O3.
+  std::string label = "n";
+  label += std::to_string(nodes);
+  obs::publish_labeled(incr_registry.snapshot(), label, obs::Registry::global());
   return out;
 }
 

@@ -22,7 +22,6 @@
 
 #include "bench/bench_support.h"
 #include "common/thread_pool.h"
-#include "planner/evaluator.h"
 #include "tree/builder.h"
 
 namespace remo::bench {
@@ -147,23 +146,18 @@ void penalty_sweep() {
   emit(t);
 }
 
-/// One timed full planning run on a cold engine; reports the best of
-/// `reps` runs (cold cache each rep — only within-plan memoization counts).
+/// One timed full planning run on a fresh engine; reports the best of
+/// `reps` runs.
 struct PlanTiming {
   double seconds = 0.0;
   std::size_t collected = 0;
-  EvalStats stats;
 };
 
 template <class Workload>
-PlanTiming time_plan(const Workload& s, std::size_t threads, bool memoize,
-                     int reps) {
+PlanTiming time_plan(const Workload& s, std::size_t threads, int reps) {
   PlannerOptions o = planner_options(PartitionScheme::kRemo);
-  // Wide enough that the stable within-cluster candidates stay on the
-  // evaluated list every iteration (they are what recurs in the cache).
   o.max_candidates = 32;
   o.num_threads = threads;
-  o.memoize_builds = memoize;
   PlanTiming best;
   best.seconds = 1e100;
   for (int r = 0; r < reps; ++r) {
@@ -173,8 +167,7 @@ PlanTiming time_plan(const Workload& s, std::size_t threads, bool memoize,
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    if (secs < best.seconds)
-      best = PlanTiming{secs, topo.collected_pairs(), planner.last_stats()};
+    if (secs < best.seconds) best = PlanTiming{secs, topo.collected_pairs()};
   }
   return best;
 }
@@ -182,8 +175,7 @@ PlanTiming time_plan(const Workload& s, std::size_t threads, bool memoize,
 /// Clustered cost-sharing workload: `clusters` node groups, each observing
 /// its own block of `attrs_per_cluster` attributes. Merges are profitable
 /// only within a cluster, so the candidate list is stable across search
-/// iterations — the recurring-build case the memo cache targets (a commit
-/// in one cluster leaves every other cluster's candidates untouched).
+/// iterations.
 struct ClusteredWorkload {
   SystemModel system;
   PairSet pairs;
@@ -207,32 +199,22 @@ struct ClusteredWorkload {
 void planning_engine_sweep() {
   subbanner(
       "plan-evaluation engine: wall-clock planning time, serial vs parallel "
-      "vs memoized (identical plans)");
+      "(identical plans)");
   const std::size_t hw = ThreadPool::default_concurrency();
   std::printf("hardware threads: %zu\n", hw);
-  Table t({"nodes", "serial (ms)", "parallel (ms)", "par+cache (ms)", "speedup",
-           "hit %", "collected"});
+  Table t({"nodes", "serial (ms)", "parallel (ms)", "speedup", "collected"});
   for (std::size_t n : {80u, 160u, 320u}) {
-    // Ample capacity: planning is search-bound, and remaining-capacity
-    // fingerprints stay in the effectively-unconstrained class, where the
-    // memo cache reuses builds across search iterations.
+    // Ample capacity: planning is search-bound.
     ClusteredWorkload s(n, 3, 8, 1e6, 1e7);
-    const auto serial = time_plan(s, 1, false, 3);
-    const auto parallel = time_plan(s, hw, false, 3);
-    const auto cached = time_plan(s, hw, true, 3);
-    const double hits = static_cast<double>(cached.stats.cache_hits);
-    const double lookups =
-        hits + static_cast<double>(cached.stats.cache_misses);
+    const auto serial = time_plan(s, 1, 3);
+    const auto parallel = time_plan(s, hw, 3);
     t.row()
         .add(static_cast<long long>(n))
         .add(serial.seconds * 1e3, 1)
         .add(parallel.seconds * 1e3, 1)
-        .add(cached.seconds * 1e3, 1)
-        .add(serial.seconds / cached.seconds, 2)
-        .add(lookups == 0.0 ? 0.0 : 100.0 * hits / lookups, 1)
-        .add(static_cast<long long>(cached.collected));
-    if (serial.collected != cached.collected ||
-        serial.collected != parallel.collected)
+        .add(serial.seconds / parallel.seconds, 2)
+        .add(static_cast<long long>(parallel.collected));
+    if (serial.collected != parallel.collected)
       std::printf("!! collected pairs diverged at n=%zu — engine broke "
                   "determinism\n", n);
   }

@@ -35,7 +35,6 @@ struct SchemeTotals {
   double monitoring_messages = 0.0;  // messages × epochs they flowed
   double collected = 0.0;            // pair-values over all windows
   double candidates = 0.0;           // engine: topologies built & scored
-  double cache_hits = 0.0;           // engine: memoized tree builds reused
 };
 
 SchemeTotals run_scheme(AdaptScheme scheme, std::size_t batches_per_window) {
@@ -69,7 +68,6 @@ SchemeTotals run_scheme(AdaptScheme scheme, std::size_t batches_per_window) {
       totals.adaptation_messages +=
           static_cast<double>(report.adaptation_messages);
       totals.candidates += static_cast<double>(report.candidates_evaluated);
-      totals.cache_hits += static_cast<double>(report.cache_hits);
       // Between this batch and the next, the current topology delivers
       // `step` epochs of monitoring traffic.
       totals.monitoring_messages +=
@@ -182,17 +180,13 @@ int main(int argc, char** argv) {
         "frequency)\n");
   }
 
-  subbanner("evaluation engine: candidates scored / memoized build hits (whole run)");
+  subbanner("evaluation engine: candidates scored (whole run)");
   {
     remo::Table t({"batches/window", "D-A", "REBUILD", "NO-THROTTLE", "ADAPTIVE"});
     for (std::size_t i = 0; i < frequencies.size(); ++i) {
       t.row().add(static_cast<long long>(frequencies[i]));
-      for (std::size_t s = 0; s < schemes.size(); ++s) {
-        const auto& r = results[i][s];
-        char cell[48];
-        std::snprintf(cell, sizeof cell, "%.0f / %.0f", r.candidates, r.cache_hits);
-        t.add(std::string(cell));
-      }
+      for (std::size_t s = 0; s < schemes.size(); ++s)
+        t.add(static_cast<long long>(results[i][s].candidates));
     }
     emit(t);
   }

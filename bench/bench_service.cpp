@@ -64,6 +64,8 @@ struct ReplayResult {
   std::size_t collected = 0;        // collected pairs at the final epoch
   bool identical = true;            // daemon vs batch mirror, every epoch
   double ingest_seconds = 0.0;      // submit + run_epoch wall time
+  double steady_seconds = 0.0;      // the same, over epochs that planned nothing
+  std::size_t steady_values = 0;    // values applied in those epochs
   obs::Histogram::Snapshot latency; // service.ingest_to_collected_seconds
 };
 
@@ -134,6 +136,10 @@ ReplayResult run_replay(std::size_t nodes, std::size_t value_budget,
       modified = next;
     }
 
+    // An epoch whose plan generation does not move neither planned nor
+    // replanned: it is the steady ingest path alone.
+    const std::uint64_t generation = daemon.system().generation();
+    const std::uint64_t applied = daemon.stats().values_applied;
     const auto t0 = std::chrono::steady_clock::now();
     // One batch per node — the shape a fleet of per-node agents produces.
     std::vector<service::ValueUpdate> node_batch;
@@ -151,7 +157,12 @@ ReplayResult run_replay(std::size_t nodes, std::size_t value_budget,
       ++out.replans;
     }
     daemon.run_epoch();
-    out.ingest_seconds += since(t0);
+    const double epoch_seconds = since(t0);
+    out.ingest_seconds += epoch_seconds;
+    if (daemon.system().generation() == generation) {
+      out.steady_seconds += epoch_seconds;
+      out.steady_values += daemon.stats().values_applied - applied;
+    }
 
     if (mirror) {
       if (do_churn) batch.modify_task(modified);
@@ -194,8 +205,8 @@ int main(int argc, char** argv) {
     for (std::size_t n : sizes) results.push_back(run_replay(n, 0, true));
 
     remo::Table t({"nodes", "epochs", "values", "replans", "us/value",
-                   "values/sec", "p50 <= (epochs)", "p99 <= (epochs)",
-                   "collected", "identical"});
+                   "steady us/value", "values/sec", "p50 <= (epochs)",
+                   "p99 <= (epochs)", "collected", "identical"});
     for (std::size_t i = 0; i < sizes.size(); ++i) {
       const auto& r = results[i];
       t.row()
@@ -205,6 +216,7 @@ int main(int argc, char** argv) {
           .add(static_cast<long long>(r.replans))
           .add(r.ingest_seconds / static_cast<double>(r.values_applied) * 1e6,
                3)
+          .add(r.steady_seconds / static_cast<double>(r.steady_values) * 1e6, 3)
           .add(static_cast<double>(r.values_applied) / r.ingest_seconds, 0)
           .add(quantile_upper_epochs(r.latency, 0.50), 0)
           .add(quantile_upper_epochs(r.latency, 0.99), 0)
@@ -216,8 +228,10 @@ int main(int argc, char** argv) {
         "(one value batch per node per epoch through the bus; the mirror\n"
         "applies identical churn to a batch-mode federation at the same\n"
         "virtual clock — `identical` pins the daemon's collected pairs to\n"
-        "it at every epoch. Latency is virtual: a value applied and\n"
-        "collected in its submission epoch scores <= 1 epoch)\n");
+        "it at every epoch. `us/value` times every epoch, including the\n"
+        "initial plan and each replan; `steady us/value` times only the\n"
+        "epochs that planned nothing. Latency is virtual: a value applied\n"
+        "and collected in its submission epoch scores <= 1 epoch)\n");
   }
 
   subbanner("overload replay (value budget at ~half load, low watermark)");

@@ -85,7 +85,6 @@ AdaptReport AdaptivePlanner::initialize(const PairSet& pairs, double now) {
   report.score = score_of(topology_);
   const EvalStats stats = planner_.last_stats();  // plan() reset the window
   report.candidates_evaluated = stats.evaluations;
-  report.cache_hits = stats.cache_hits;
   return report;
 }
 
@@ -104,9 +103,9 @@ void AdaptivePlanner::restore(PairSet pairs, Topology topo,
   adjusted_at_ = std::move(stamps);
   init_time_ = init_time;
   // The evaluation engine's pair view resyncs in full on the next
-  // adaptation (synced_pairs() is null on a fresh planner); memo-cache
-  // hits are bit-identical to fresh builds, so a cold cache cannot make a
-  // restored planner diverge from the captured one.
+  // adaptation (synced_pairs() is null on a fresh planner); an items
+  // template is a pure function of the pair set, so a cold cache cannot
+  // make a restored planner diverge from the captured one.
   REMO_VALIDATE(topology_.validate(*system_),
                 "restored topology violates capacity (", topology_.num_trees(),
                 " trees, ", pairs_.total_pairs(), " pairs)");
@@ -160,10 +159,8 @@ std::vector<std::vector<AttrId>> AdaptivePlanner::direct_apply(
     stamp({a}, now);  // a brand-new tree starts its throttle window now
   }
   if (!victims.empty() || !new_sets.empty()) {
-    // The evaluator's memo cache is synced to pairs_ by run_adaptation
-    // before we get here, so rebuilds reuse trees memoized across calls —
-    // churn that re-creates a recently seen (attrs, members, budgets) build
-    // is served from cache, bit-identically.
+    // The evaluator's cache is synced to pairs_ by run_adaptation before
+    // we get here, so rebuilds read the items templates it still holds.
     topology_ = rebuild_trees(topology_, *system_, pairs_, victims, new_sets,
                               planner_.options().attr_specs,
                               planner_.options().allocation,
@@ -264,7 +261,7 @@ void AdaptivePlanner::optimize(const PairSet& pairs,
                                AdaptReport& report) {
   const auto& opts = planner_.options();
   // run_adaptation already synced the evaluator's pair view (and evicted
-  // exactly the memo entries the delta touched) before direct_apply ran.
+  // exactly the items templates the delta touched) before direct_apply ran.
   auto in_rebuilt = [&rebuilt](const std::vector<AttrId>& attrs) {
     return std::find(rebuilt.begin(), rebuilt.end(), attrs) != rebuilt.end();
   };
@@ -371,8 +368,8 @@ AdaptReport AdaptivePlanner::run_adaptation(const PairSetDelta& delta, double no
   EvalStats stats_base = planner_.last_stats();
 
   // Advance the evaluation engine's pair view *before* any rebuild so
-  // direct_apply's tree rebuilds hit the memo cache, and so only entries
-  // the delta touches are evicted. apply_pairs_delta is O(|delta|); the
+  // direct_apply's tree rebuilds read current items templates, and so only
+  // templates the delta touches are evicted. apply_pairs_delta is O(|delta|); the
   // full sync only runs on the first call after construction.
   PlanEvaluator& engine = planner_.evaluator();
   if (scheme_ != AdaptScheme::kRebuild) {
@@ -416,7 +413,6 @@ AdaptReport AdaptivePlanner::run_adaptation(const PairSetDelta& delta, double no
   if (scheme_ == AdaptScheme::kRebuild) stats_base = EvalStats{};  // plan() reset
   const EvalStats stats = planner_.last_stats();
   report.candidates_evaluated = stats.evaluations - stats_base.evaluations;
-  report.cache_hits = stats.cache_hits - stats_base.cache_hits;
 
   if (!delta.empty()) {
     metrics_.replans->add(1);

@@ -65,10 +65,8 @@ struct AdaptReport {
   /// Operations rejected by cost-benefit throttling.
   std::size_t operations_throttled = 0;
   /// Candidate topologies built & scored by the evaluation engine during
-  /// this call, and how many memoized tree builds it reused (see
-  /// planner/evaluator.h).
+  /// this call (see planner/evaluator.h).
   std::size_t candidates_evaluated = 0;
-  std::size_t cache_hits = 0;
   PlanScore score;
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/check.h"
+
 namespace remo::obs {
 
 namespace {
@@ -53,6 +55,15 @@ Histogram::Snapshot Histogram::snapshot() const {
   s.count = count_.load(std::memory_order_relaxed);
   s.sum = sum_.load(std::memory_order_relaxed);
   return s;
+}
+
+void Histogram::assign(const Snapshot& s) {
+  REMO_ASSERT(s.bounds == bounds_, "histogram assign: ", s.bounds.size(),
+              " snapshot bounds against ", bounds_.size(), " registered");
+  for (std::size_t i = 0; i <= bounds_.size(); ++i)
+    counts_[i].store(s.counts[i], std::memory_order_relaxed);
+  count_.store(s.count, std::memory_order_relaxed);
+  sum_.store(s.sum, std::memory_order_relaxed);
 }
 
 void Histogram::reset() noexcept {
@@ -132,6 +143,8 @@ void publish_labeled(const RegistrySnapshot& snap, const std::string& label,
   }
   for (const auto& [name, value] : snap.gauges)
     out.gauge(labeled_name(name, label)).set(value);
+  for (const auto& [name, hist] : snap.histograms)
+    out.histogram(labeled_name(name, label), hist.bounds).assign(hist);
 }
 
 }  // namespace remo::obs

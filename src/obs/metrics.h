@@ -97,6 +97,11 @@ class Histogram {
     }
   };
   Snapshot snapshot() const;
+  /// Overwrites every bucket, the count and the sum with `s`'s — set
+  /// semantics, the histogram counterpart of Counter reset() + add().
+  /// `s.bounds` must equal this histogram's bounds. Not atomic as a whole
+  /// against a concurrent observe(), like snapshot().
+  void assign(const Snapshot& s);
   void reset() noexcept;
 
   /// Default bounds for wall-clock seconds: decades from 10 µs to 100 s.
@@ -176,9 +181,9 @@ std::string labeled_name(const std::string& name, const std::string& label);
 /// federation tier's per-shard metric labels (DESIGN.md §12): each shard
 /// core publishes `planner.*` / `recovery.*` into a private registry, and
 /// the root republishes them as `planner.shard<k>.*` so one snapshot
-/// carries every shard side by side. Counters and gauges are copied with
-/// set semantics (idempotent per publish); histograms are skipped —
-/// bucket counts are not settable through the hot-path-safe API.
+/// carries every shard side by side. Counters, gauges and histograms are
+/// copied with set semantics (idempotent per publish); a histogram
+/// already registered under the labeled name must have the same bounds.
 void publish_labeled(const RegistrySnapshot& snap, const std::string& label,
                      Registry& out);
 

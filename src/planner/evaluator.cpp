@@ -35,7 +35,7 @@ struct PlanEvaluator::Counters {
   obs::Counter* evaluations = nullptr;
   obs::Counter* cache_hits = nullptr;    ///< registry mirror of cache_.hits()
   obs::Counter* cache_misses = nullptr;  ///< registry mirror of cache_.misses()
-  obs::Counter* cache_invalidated = nullptr;  ///< memo entries evicted by churn
+  obs::Counter* cache_invalidated = nullptr;  ///< templates evicted by churn
   obs::Gauge* evaluate_seconds = nullptr;
   obs::Gauge* build_seconds = nullptr;
 
@@ -67,7 +67,6 @@ struct PlanEvaluator::Counters {
 PlanEvaluator::PlanEvaluator(const SystemModel& system, PlannerOptions options)
     : system_(&system),
       options_(std::move(options)),
-      cache_(options_.memoize_builds),
       counters_(std::make_unique<Counters>()) {
   obs::Registry& reg = obs::registry_or_global(options_.metrics);
   counters_->evaluations = &reg.counter("planner.candidates_evaluated");
@@ -93,16 +92,14 @@ ThreadPool& PlanEvaluator::pool() {
 void PlanEvaluator::sync_pairs(const PairSet& pairs) {
   if (last_pairs_.has_value() && *last_pairs_ == pairs) return;
   if (last_pairs_.has_value() && last_pairs_->num_vertices() == pairs.num_vertices()) {
-    // Scoped invalidation: evict only entries whose attribute sets the
-    // change intersects; everything else is still bit-exact (PR 1 cleared
-    // the whole cache here, discarding builds the change never touched).
+    // Scoped invalidation: evict only templates whose attribute sets the
+    // change intersects; everything else is still exact.
     const PairSetDelta delta = diff(*last_pairs_, pairs);
     counters_->cache_invalidated->add(cache_.invalidate_attrs(delta.affected_attrs()));
   } else {
     cache_.clear();
   }
   last_pairs_ = pairs;
-  cache_.set_reference_pairs(&*last_pairs_);
 }
 
 void PlanEvaluator::apply_pairs_delta(const PairSetDelta& delta) {
@@ -112,7 +109,6 @@ void PlanEvaluator::apply_pairs_delta(const PairSetDelta& delta) {
               "no pair set to advance");
   apply_delta(*last_pairs_, delta);
   counters_->cache_invalidated->add(cache_.invalidate_attrs(delta.affected_attrs()));
-  cache_.set_reference_pairs(&*last_pairs_);
 }
 
 Topology PlanEvaluator::build_full(const PairSet& pairs, const Partition& partition) {
@@ -126,25 +122,23 @@ Topology PlanEvaluator::build_full(const PairSet& pairs, const Partition& partit
   return topo;
 }
 
-Topology PlanEvaluator::rebuild_candidate(const Topology& base, const Partition& p,
-                                          const PairSet& pairs,
-                                          const Augmentation& aug) {
-  const AugmentationFootprint fp = footprint(p, aug);
-  return rebuild_trees(base, *system_, pairs, fp.victims, fp.new_sets,
-                       options_.attr_specs, options_.allocation, options_.tree,
-                       cache_);
-}
-
 PlanScore PlanEvaluator::score_candidate(const Topology& base, const Partition& p,
                                          const PairSet& pairs,
                                          const Augmentation& aug,
-                                         RebuildScratch& scratch) {
+                                         const PlanScore& current,
+                                         RebuildScratch& scratch,
+                                         std::vector<TreeEntry>& kept) {
   const AugmentationFootprint fp = footprint(p, aug);
+  std::vector<TreeEntry> built;
   const RebuildScore s = rebuild_score(base, *system_, pairs, fp.victims,
                                        fp.new_sets, options_.attr_specs,
                                        options_.allocation, options_.tree, cache_,
-                                       scratch);
-  return PlanScore{s.collected, s.cost};
+                                       scratch, built);
+  const PlanScore score{s.collected, s.cost};
+  // Only a candidate that improves on `current` can win, so only its
+  // trees are kept for the commit.
+  if (improves(score, current)) kept = std::move(built);
+  return score;
 }
 
 void PlanEvaluator::for_each_blocked(
@@ -167,10 +161,11 @@ void PlanEvaluator::for_each_blocked(
 PlanEvaluator::Result PlanEvaluator::materialize(
     const Topology& base, const Partition& p, const PairSet& pairs,
     const std::vector<Augmentation>& candidates, std::size_t index,
-    const PlanScore& score) {
-  // With memoize_builds this re-serves the builds the scoring pass just
-  // did; without, one extra build per committed operation.
-  return Result{rebuild_candidate(base, p, pairs, candidates[index]), score, index};
+    const PlanScore& score, std::vector<TreeEntry> new_trees) {
+  const AugmentationFootprint fp = footprint(p, candidates[index]);
+  return Result{assemble_rebuild(base, fp.victims, std::move(new_trees),
+                                 pairs.total_pairs()),
+                score, index};
 }
 
 std::optional<PlanEvaluator::Result> PlanEvaluator::best_improving(
@@ -181,8 +176,10 @@ std::optional<PlanEvaluator::Result> PlanEvaluator::best_improving(
   const auto start = std::chrono::steady_clock::now();
   const Partition p = base.partition();
   std::vector<PlanScore> scores(candidates.size());
+  std::vector<std::vector<TreeEntry>> trees(candidates.size());
   for_each_blocked(candidates.size(), [&](std::size_t i, RebuildScratch& scratch) {
-    scores[i] = score_candidate(base, p, pairs, candidates[i], scratch);
+    scores[i] =
+        score_candidate(base, p, pairs, candidates[i], current, scratch, trees[i]);
   });
   counters_->evaluations->add(candidates.size());
 
@@ -197,7 +194,9 @@ std::optional<PlanEvaluator::Result> PlanEvaluator::best_improving(
     }
   }
   std::optional<Result> out;
-  if (best) out = materialize(base, p, pairs, candidates, *best, best_score);
+  if (best)
+    out = materialize(base, p, pairs, candidates, *best, best_score,
+                      std::move(trees[*best]));
   counters_->evaluate_seconds->add(seconds_since(start));
   return out;
 }
@@ -221,13 +220,16 @@ std::optional<PlanEvaluator::Result> PlanEvaluator::first_improving(
   for (std::size_t begin = 0; begin < budget && !found; begin += chunk) {
     const std::size_t end = std::min(begin + chunk, budget);
     std::vector<PlanScore> scores(end - begin);
+    std::vector<std::vector<TreeEntry>> trees(scores.size());
     for_each_blocked(scores.size(), [&](std::size_t i, RebuildScratch& scratch) {
-      scores[i] = score_candidate(base, p, pairs, candidates[begin + i], scratch);
+      scores[i] = score_candidate(base, p, pairs, candidates[begin + i], current,
+                                  scratch, trees[i]);
     });
     evaluated += scores.size();
     for (std::size_t i = 0; i < scores.size(); ++i) {
       if (improves(scores[i], current)) {
-        found = materialize(base, p, pairs, candidates, begin + i, scores[i]);
+        found = materialize(base, p, pairs, candidates, begin + i, scores[i],
+                            std::move(trees[i]));
         break;
       }
     }

@@ -1,16 +1,18 @@
 // The plan-evaluation engine: resource-aware scoring of candidate
 // partition augmentations, extracted from the planner's guided local
 // search (Sec. 3) and the adaptive planner's restricted search (Sec. 4.1)
-// so that both share one hot path with two accelerations:
+// so that both share one hot path:
 //
 //   - candidates of one search iteration are evaluated concurrently on a
 //     fixed thread pool (PlannerOptions::num_threads), with deterministic
 //     commit: results land in candidate-rank slots and winners are chosen
 //     by (score, rank), never by completion order, so the chosen topology
 //     is bit-identical to serial evaluation;
-//   - tree builds are memoized across iterations (tree_build_cache.h):
-//     re-evaluating an augmentation whose involved nodes the previously
-//     committed operation did not touch reuses the built trees.
+//   - each candidate's replacement trees are built once: scoring keeps the
+//     trees of every candidate that improves on the current plan, and the
+//     commit assembles the winner from them instead of building it again;
+//   - every build reads its members and local counts from the per-
+//     attribute-set items templates of the one cache (tree_build_cache.h).
 //
 // Thread model (DESIGN.md §16): the evaluator itself owns no lock — its
 // cross-thread state is exactly the annotated TreeBuildCache (capability
@@ -48,7 +50,8 @@ struct EvalStats {
   /// per full-forest build (initial layout, re-layout escape, endpoint
   /// guard).
   std::size_t evaluations = 0;
-  /// Memoized tree builds reused / built fresh inside those evaluations.
+  /// Items-template lookups served from the cache / computed fresh
+  /// (tree_build_cache.h).
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   /// Wall-clock seconds spent evaluating candidates (parallel section).
@@ -74,16 +77,16 @@ class PlanEvaluator {
   };
 
   /// Must be called (by the owning search) whenever the pair set under
-  /// evaluation may have changed. Invalidation is *scoped*: only memo
-  /// entries whose attribute sets intersect the change are evicted (the
+  /// evaluation may have changed. Invalidation is *scoped*: only items
+  /// templates whose attribute sets intersect the change are evicted (the
   /// rest cannot read anything the change touched — see
-  /// tree_build_cache.h), so memoized builds survive churn that never
-  /// touches their partitions.
+  /// tree_build_cache.h), so templates survive churn that never touches
+  /// their partitions.
   void sync_pairs(const PairSet& pairs);
 
   /// O(|delta|) variant of sync_pairs for callers that already know the
   /// exact change (the delta replanning path): advances the synced pair
-  /// set by `delta` and evicts only the intersecting memo entries, without
+  /// set by `delta` and evicts only the intersecting templates, without
   /// copying or re-diffing the full pair set. Requires sync_pairs to have
   /// run at least once.
   void apply_pairs_delta(const PairSetDelta& delta);
@@ -95,15 +98,16 @@ class PlanEvaluator {
     return last_pairs_.has_value() ? &*last_pairs_ : nullptr;
   }
 
-  /// Memoized full-forest build (initial layout / re-layout escape /
-  /// endpoint guard). Counts one evaluation.
+  /// Full-forest build (initial layout / re-layout escape / endpoint
+  /// guard). Counts one evaluation.
   Topology build_full(const PairSet& pairs, const Partition& partition);
 
   /// Best-of-candidates commit rule: the lowest-ranked candidate achieving
   /// the best strictly-improving score over `current` (identical to the
   /// serial scan that keeps the first strict improvement of the running
-  /// best). Candidates are scored concurrently without materialization;
-  /// only the winner's topology is built. nullopt when nothing improves.
+  /// best). Candidates are scored concurrently; the winner's topology is
+  /// assembled from the trees its scoring built. nullopt when nothing
+  /// improves.
   std::optional<Result> best_improving(const Topology& base, const PairSet& pairs,
                                        const std::vector<Augmentation>& candidates,
                                        const PlanScore& current);
@@ -112,7 +116,8 @@ class PlanEvaluator {
   /// score strictly improves `current`, scoring at most `max_evaluations`
   /// candidates (the adaptive planner's per-list budget). Candidates are
   /// scored in parallel chunks but the winner is the one a serial
-  /// rank-order scan would pick; only its topology is materialized.
+  /// rank-order scan would pick; its topology is assembled from the trees
+  /// its scoring built.
   std::optional<Result> first_improving(const Topology& base, const PairSet& pairs,
                                         const std::vector<Augmentation>& candidates,
                                         const PlanScore& current,
@@ -129,11 +134,12 @@ class PlanEvaluator {
 
  private:
   struct Counters;
-  Topology rebuild_candidate(const Topology& base, const Partition& p,
-                             const PairSet& pairs, const Augmentation& aug);
+  /// Scores one candidate (rebuild_score). The trees its rebuild built
+  /// are moved into `kept` only if the score improves on `current`.
   PlanScore score_candidate(const Topology& base, const Partition& p,
                             const PairSet& pairs, const Augmentation& aug,
-                            RebuildScratch& scratch);
+                            const PlanScore& current, RebuildScratch& scratch,
+                            std::vector<TreeEntry>& kept);
   /// Block dispatcher for the scoring loops: runs fn(i, scratch) for every
   /// i in [0, n), one pool task per contiguous rank-block of
   /// kCandidateBlockSize candidates (evaluator.cpp). The scratch is
@@ -143,11 +149,11 @@ class PlanEvaluator {
   /// see results identical to the serial loop.
   void for_each_blocked(std::size_t n,
                         const std::function<void(std::size_t, RebuildScratch&)>& fn);
-  /// Materializes the scored winner; exact by construction (the score path
-  /// runs the identical lookup-or-build steps).
+  /// The scored winner: `base` without its victims plus the trees its
+  /// scoring built — the topology rebuild_trees would build for it.
   Result materialize(const Topology& base, const Partition& p, const PairSet& pairs,
                      const std::vector<Augmentation>& candidates, std::size_t index,
-                     const PlanScore& score);
+                     const PlanScore& score, std::vector<TreeEntry> new_trees);
   ThreadPool& pool();
 
   const SystemModel* system_;

@@ -63,10 +63,6 @@ struct PlannerOptions {
   /// committed plan is bit-identical for every value: score ties are
   /// broken by candidate rank, never by completion order.
   std::size_t num_threads = 0;
-  /// Memoize tree builds across search iterations, keyed by (canonical
-  /// attribute set, remaining-capacity fingerprint). A hit is bit-identical
-  /// to a fresh build; switching this off only trades speed.
-  bool memoize_builds = true;
 
   // --- observability (src/obs, DESIGN.md §9) -----------------------------
   /// Metrics registry the evaluation engine publishes to (the counters
@@ -119,7 +115,7 @@ class Planner {
   Topology plan(const PairSet& pairs) const;
 
   /// Builds the forest for an explicit partition (no search). Goes through
-  /// the evaluation engine, so it benefits from (and warms) the memo cache.
+  /// the evaluation engine, so it reads (and warms) its items templates.
   Topology build_for_partition(const PairSet& pairs, const Partition& p) const;
 
   /// One guided local-search step: evaluates top-ranked neighboring

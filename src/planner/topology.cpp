@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-#include <optional>
 
 #include "common/sorted_vector.h"
 #include "planner/tree_build_cache.h"
@@ -88,42 +87,6 @@ Capacity advisory_share(AllocationScheme scheme, NodeId node, Capacity budget,
   return budget;
 }
 
-/// A budget at or above this bound can never constrain the build: a vertex's
-/// usage is its own message (C + a·y, y ≤ wmax·X where X is the set's total
-/// local values) plus its children's messages (≤ n of them, payloads from
-/// disjoint subtrees summing to ≤ wmax·X). Clamping budgets here lets the
-/// memo cache treat every "effectively unconstrained" budget as one class.
-Capacity unconstrained_bound(const CostModel& cost,
-                             const std::vector<TreeAttrSpec>& tree_attrs,
-                             const std::vector<BuildItem>& items) {
-  double wmax = 1.0;
-  for (const auto& s : tree_attrs) wmax = std::max(wmax, s.weight);
-  double total_local = 0.0;
-  for (const auto& it : items) total_local += static_cast<double>(it.local_total());
-  const double n = static_cast<double>(items.size());
-  // +C+1 margin: strict-vs-non-strict feasibility comparisons at exactly
-  // the bound must not matter.
-  return cost.per_message * (n + 2.0) + 2.0 * cost.per_value * wmax * total_local +
-         1.0;
-}
-
-TreeBuildKey make_cache_key(const CostModel& cost, const std::vector<AttrId>& attrs,
-                            const std::vector<TreeAttrSpec>& tree_attrs,
-                            const std::vector<BuildItem>& items,
-                            Capacity collector_avail) {
-  const Capacity bound = unconstrained_bound(cost, tree_attrs, items);
-  TreeBuildKey key;
-  key.attrs = attrs;
-  key.nodes.reserve(items.size());
-  key.avails.reserve(items.size());
-  for (const auto& it : items) {
-    key.nodes.push_back(it.id);
-    key.avails.push_back(std::min(it.avail, bound));
-  }
-  key.collector_avail = std::min(collector_avail, bound);
-  return key;
-}
-
 /// What every tree build of one forest (re)build shares.
 struct BuildContext {
   const SystemModel& system;
@@ -137,21 +100,14 @@ struct BuildContext {
 };
 
 // REMO_HOT: once per (re)built tree per candidate scored — the inner loop
-// of the guided search. The one lookup-or-build step of every tree build,
-// materialized (build_entry) or scored (rebuild_score). Fills the tree's
-// attribute specs and offered items with their effective budgets (capped
-// by `sc.remaining`) into `sc`; the member list and local counts come from
-// the cache's items template, computed once per attribute set. Then keys
-// the inputs and returns the cached entry in place on a hit — `sc.items`
-// and `collector_avail` still hold this request's budgets. A miss builds
-// the tree into `built` and returns it, memoizing it only if it ran a
-// parent scan (DESIGN.md §7). A build that ran none hung every item it
-// placed under the collector in O(items), about what its lookup costs.
-const TreeEntry& lookup_or_build(const BuildContext& ctx,
-                                 const std::vector<AttrId>& attrs,
-                                 std::size_t tree_idx, RebuildScratch& sc,
-                                 Capacity& collector_avail,
-                                 std::optional<TreeEntry>& built) {
+// of the guided search. The one build step of every tree, laid out
+// (build_topology) or rebuilt (rebuild_score). Fills the tree's attribute
+// specs and offered items with their effective budgets (capped by
+// `sc.remaining`) into `sc` — the member list and local counts come from
+// the cache's items template, computed once per attribute set — and
+// builds the tree.
+TreeEntry build_entry(const BuildContext& ctx, const std::vector<AttrId>& attrs,
+                      std::size_t tree_idx, RebuildScratch& sc) {
   sc.tree_attrs.clear();
   sc.tree_attrs.reserve(attrs.size());
   for (AttrId a : attrs) sc.tree_attrs.push_back(ctx.specs.tree_spec(a));
@@ -169,43 +125,19 @@ const TreeEntry& lookup_or_build(const BuildContext& ctx,
                           advisory_share(ctx.scheme, n, ctx.system.capacity(n),
                                          ctx.shares, tree_idx, ctx.pass));
   }
-  collector_avail = std::min(
+  const Capacity collector_avail = std::min(
       sc.remaining[kCollectorId],
       advisory_share(ctx.scheme, kCollectorId, ctx.system.capacity(kCollectorId),
                      ctx.shares, tree_idx, ctx.pass));
 
-  const CostModel& cost = ctx.system.cost();
-  const TreeBuildKey key =
-      make_cache_key(cost, attrs, sc.tree_attrs, sc.items, collector_avail);
-  if (const TreeEntry* hit = ctx.cache.peek(key)) return *hit;
   auto result = build_tree(std::move(sc.tree_attrs), std::move(sc.items),
-                           collector_avail, cost, ctx.tree_opts);
-  built.emplace(TreeEntry{attrs, std::move(result.tree), t->offered, 0});
-  built->collected_pairs = built->tree.collected_pairs();
-  if (result.parent_scans > 0) ctx.cache.insert(key, *built);
-  return *built;
-}
-
-/// Materializes the tree for `attrs`. A miss hands over the fresh build. A
-/// hit is copied once: its structure and loads are exactly what a fresh
-/// build would produce (the key captures every input the builder sees),
-/// but its stored budgets are the creator's, so they are rewritten to this
-/// request's and the copy is indistinguishable from a build.
-TreeEntry build_entry(const BuildContext& ctx, const std::vector<AttrId>& attrs,
-                      std::size_t tree_idx, RebuildScratch& sc) {
-  Capacity collector_avail = 0;
-  std::optional<TreeEntry> built;
-  const TreeEntry& found =
-      lookup_or_build(ctx, attrs, tree_idx, sc, collector_avail, built);
-  if (built) return std::move(*built);
-  TreeEntry entry = found;
-  entry.tree.set_avail(kCollectorId, collector_avail);
-  for (const auto& it : sc.items)
-    if (entry.tree.contains(it.id)) entry.tree.set_avail(it.id, it.avail);
+                           collector_avail, ctx.system.cost(), ctx.tree_opts);
+  TreeEntry entry{attrs, std::move(result.tree), t->offered, 0};
+  entry.collected_pairs = entry.tree.collected_pairs();
   return entry;
 }
 
-// REMO_HOT: runs once per built/cached tree on every candidate scored.
+// REMO_HOT: runs once per built tree on every candidate scored.
 // for_each_usage streams the slot arrays directly instead of paying a
 // lookup per member; the per-node arithmetic is the usage() expression
 // verbatim, so the subtraction sequence is unchanged.
@@ -237,11 +169,11 @@ std::vector<std::size_t> build_order(AllocationScheme scheme,
   return order;
 }
 
-/// The prologue rebuild_trees and rebuild_score share; the two differ only
-/// in the per-tree step. Fills `sc` with the sorted victims, the kept
-/// entry indices, the post-operation sets (kept sets in entry order, then
-/// the new sets, which take the tail indices), the remaining budgets and
-/// the new sets' build order, and returns the shares the new builds read.
+/// The prologue of rebuild_score. Fills `sc` with the sorted victims, the
+/// kept entry indices, the post-operation sets (kept sets in entry order,
+/// then the new sets, which take the tail indices), the remaining budgets
+/// and the new sets' build order, and returns the shares the new builds
+/// read.
 /// Kept usage accumulates in entry order from zero, so each budget is
 /// bit-identical to capacity minus node_usage() — floored at 0: repair and
 /// parking may spend collector headroom the planning model holds back, and
@@ -429,6 +361,52 @@ Topology build_topology(const SystemModel& system, const PairSet& pairs,
   return topo;
 }
 
+RebuildScore rebuild_score(const Topology& topo, const SystemModel& system,
+                           const PairSet& pairs,
+                           const std::vector<std::size_t>& victim_indices,
+                           const std::vector<std::vector<AttrId>>& new_sets,
+                           const AttrSpecTable& specs, AllocationScheme allocation,
+                           const TreeBuildOptions& tree_opts, TreeBuildCache& cache,
+                           RebuildScratch& sc, std::vector<TreeEntry>& new_trees) {
+  const ShareInfo shares = rebuild_prologue(topo, system, pairs, victim_indices,
+                                            new_sets, allocation, cache, sc);
+  const BuildContext ctx{system, pairs, specs, tree_opts, allocation,
+                         shares, BuildPass::kRebuild, cache};
+  // Every accumulation below runs in the assembled topology's entry order
+  // (kept entries in original order, then new trees in build order), so
+  // the result is bit-identical to score_of(assemble_rebuild(...)) — ties
+  // in the search must not depend on how a candidate was scored.
+  RebuildScore score;
+  for (std::size_t i : sc.kept) {
+    score.collected += topo.entries()[i].collected_pairs;
+    score.cost += topo.entries()[i].tree.total_cost();
+  }
+  new_trees.clear();
+  for (std::size_t k : sc.order) {
+    TreeEntry entry = build_entry(ctx, new_sets[k], sc.kept.size() + k, sc);
+    charge_usage(sc.remaining, entry.tree);
+    score.collected += entry.collected_pairs;
+    score.cost += entry.tree.total_cost();
+    new_trees.push_back(std::move(entry));
+  }
+  return score;
+}
+
+Topology assemble_rebuild(const Topology& topo,
+                          const std::vector<std::size_t>& victim_indices,
+                          std::vector<TreeEntry> new_trees, std::size_t total_pairs) {
+  Topology out;
+  out.set_total_pairs(total_pairs);
+  auto& entries = out.mutable_entries();
+  entries.reserve(topo.entries().size() + new_trees.size());
+  for (std::size_t i = 0; i < topo.entries().size(); ++i)
+    if (std::find(victim_indices.begin(), victim_indices.end(), i) ==
+        victim_indices.end())
+      entries.push_back(topo.entries()[i]);
+  for (auto& entry : new_trees) entries.push_back(std::move(entry));
+  return out;
+}
+
 Topology rebuild_trees(const Topology& topo, const SystemModel& system,
                        const PairSet& pairs,
                        const std::vector<std::size_t>& victim_indices,
@@ -436,54 +414,11 @@ Topology rebuild_trees(const Topology& topo, const SystemModel& system,
                        const AttrSpecTable& specs, AllocationScheme allocation,
                        const TreeBuildOptions& tree_opts, TreeBuildCache& cache) {
   RebuildScratch sc;
-  const ShareInfo shares = rebuild_prologue(topo, system, pairs, victim_indices,
-                                            new_sets, allocation, cache, sc);
-  const BuildContext ctx{system, pairs, specs, tree_opts, allocation,
-                         shares, BuildPass::kRebuild, cache};
-  Topology out;
-  out.set_total_pairs(pairs.total_pairs());
-  for (std::size_t i : sc.kept) out.mutable_entries().push_back(topo.entries()[i]);
-  for (std::size_t k : sc.order) {
-    auto entry = build_entry(ctx, new_sets[k], sc.kept.size() + k, sc);
-    charge_usage(sc.remaining, entry.tree);
-    out.mutable_entries().push_back(std::move(entry));
-  }
-  return out;
-}
-
-RebuildScore rebuild_score(const Topology& topo, const SystemModel& system,
-                           const PairSet& pairs,
-                           const std::vector<std::size_t>& victim_indices,
-                           const std::vector<std::vector<AttrId>>& new_sets,
-                           const AttrSpecTable& specs, AllocationScheme allocation,
-                           const TreeBuildOptions& tree_opts, TreeBuildCache& cache,
-                           RebuildScratch& sc) {
-  const ShareInfo shares = rebuild_prologue(topo, system, pairs, victim_indices,
-                                            new_sets, allocation, cache, sc);
-  const BuildContext ctx{system, pairs, specs, tree_opts, allocation,
-                         shares, BuildPass::kRebuild, cache};
-  // Every accumulation below runs in the exact order the materialized
-  // rebuild would use (kept entries in original order, then new trees in
-  // build order), so the result is bit-identical to
-  // score_of(rebuild_trees(...)) — ties in the search must not depend on
-  // which path scored a candidate.
-  RebuildScore score;
-  for (std::size_t i : sc.kept) {
-    score.collected += topo.entries()[i].collected_pairs;
-    score.cost += topo.entries()[i].tree.total_cost();
-  }
-  // A new tree's hit is read in place — no copy, no budget rewrite: budgets
-  // enter neither usage nor cost nor collected counts.
-  for (std::size_t k : sc.order) {
-    Capacity collector_avail = 0;
-    std::optional<TreeEntry> built;
-    const TreeEntry& entry = lookup_or_build(ctx, new_sets[k], sc.kept.size() + k,
-                                             sc, collector_avail, built);
-    charge_usage(sc.remaining, entry.tree);
-    score.collected += entry.collected_pairs;
-    score.cost += entry.tree.total_cost();
-  }
-  return score;
+  std::vector<TreeEntry> new_trees;
+  rebuild_score(topo, system, pairs, victim_indices, new_sets, specs, allocation,
+                tree_opts, cache, sc, new_trees);
+  return assemble_rebuild(topo, victim_indices, std::move(new_trees),
+                          pairs.total_pairs());
 }
 
 }  // namespace remo

@@ -102,31 +102,14 @@ std::vector<NodeAttrPair> collected_pairs_of(const Topology& topo);
 
 /// Build the complete forest for `partition`. Tree build order follows the
 /// allocation scheme (kOrdered builds the largest candidate sets first).
-/// Every tree goes through `cache`'s lookup-or-build step: a hit is
-/// bit-identical to the fresh build (see tree_build_cache.h).
+/// Every build reads its members and local counts from `cache`'s items
+/// template for its attribute set (see tree_build_cache.h).
 Topology build_topology(const SystemModel& system, const PairSet& pairs,
                         const Partition& partition, const AttrSpecTable& specs,
                         AllocationScheme allocation, const TreeBuildOptions& tree_opts,
                         TreeBuildCache& cache);
 
-/// Rebuild only the trees at `victim_indices`, replacing them with trees
-/// for `new_sets` (the resource-aware evaluation step of Sec. 3.2: "builds
-/// trees for nodes affected by m"). Budgets are the nodes' remaining
-/// capacity with the victims removed, floored at 0 and advisory-capped per
-/// `allocation`. Returns the modified topology; `topo` itself is untouched.
-Topology rebuild_trees(const Topology& topo, const SystemModel& system,
-                       const PairSet& pairs, const std::vector<std::size_t>& victim_indices,
-                       const std::vector<std::vector<AttrId>>& new_sets,
-                       const AttrSpecTable& specs, AllocationScheme allocation,
-                       const TreeBuildOptions& tree_opts, TreeBuildCache& cache);
-
-/// The (collected pairs, cost) outcome of a rebuild_trees call without
-/// materializing it: untouched entries contribute their aggregates, only
-/// the replacement trees are built (or read from `cache` in place).
-/// Bit-identical to scoring the materialized topology — the cost sum runs
-/// in the same entry order — at a fraction of the cost, which is what lets
-/// the search score whole candidate lists and materialize only the
-/// committed winner.
+/// The (collected pairs, cost) score of a rebuilt topology.
 struct RebuildScore {
   std::size_t collected = 0;
   Capacity cost = 0;
@@ -149,12 +132,35 @@ struct RebuildScratch {
   std::vector<BuildItem> items;
 };
 
+/// The rebuild step (the resource-aware evaluation of Sec. 3.2: "builds
+/// trees for nodes affected by m"): replaces the trees at
+/// `victim_indices` with trees for `new_sets`, without assembling the
+/// result. Budgets are the nodes' remaining capacity with the victims
+/// removed, floored at 0 and advisory-capped per `allocation`. Each new
+/// tree is built once and handed over in `new_trees` (cleared first), in
+/// build order; the returned score is the assembled topology's, with the
+/// cost summed in its entry order (kept entries, then `new_trees`), so it
+/// is bit-identical to score_of(assemble_rebuild(...)). `topo` itself is
+/// untouched.
 RebuildScore rebuild_score(const Topology& topo, const SystemModel& system,
                            const PairSet& pairs,
                            const std::vector<std::size_t>& victim_indices,
                            const std::vector<std::vector<AttrId>>& new_sets,
                            const AttrSpecTable& specs, AllocationScheme allocation,
                            const TreeBuildOptions& tree_opts, TreeBuildCache& cache,
-                           RebuildScratch& scratch);
+                           RebuildScratch& scratch, std::vector<TreeEntry>& new_trees);
+
+/// The topology a rebuild_score call scored: `topo`'s entries outside
+/// `victim_indices`, in order, then `new_trees` in build order.
+Topology assemble_rebuild(const Topology& topo,
+                          const std::vector<std::size_t>& victim_indices,
+                          std::vector<TreeEntry> new_trees, std::size_t total_pairs);
+
+/// rebuild_score plus assembly: the modified topology.
+Topology rebuild_trees(const Topology& topo, const SystemModel& system,
+                       const PairSet& pairs, const std::vector<std::size_t>& victim_indices,
+                       const std::vector<std::vector<AttrId>>& new_sets,
+                       const AttrSpecTable& specs, AllocationScheme allocation,
+                       const TreeBuildOptions& tree_opts, TreeBuildCache& cache);
 
 }  // namespace remo

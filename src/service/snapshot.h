@@ -12,8 +12,8 @@
 //     (rewrite + dedup), and MonitoringSystem::restore_planner REMO_VALIDATEs
 //     that the rebuilt set matches the captured plan — the snapshot cannot
 //     drift from the task set because it never stores both;
-//   - evaluation-engine memo caches: cache hits are bit-identical to fresh
-//     builds, so a cold cache affects speed, never plans;
+//   - the evaluation engine's items-template cache: a template is a pure
+//     function of the pair set, so a cold cache affects speed, never plans;
 //   - liveness-tracker runtime state: a restored daemon re-arms delivery
 //     deadlines from scratch (documented restart semantics; the lifetime
 //     RepairReport counters ARE carried).

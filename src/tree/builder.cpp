@@ -150,13 +150,12 @@ void record_collector_run(const MonitoringTree& tree, BuildScratch& scratch,
 /// its blockers are recorded later by record_collector_run — before the
 /// next attach below a member, or at the end of a pass that leaves items
 /// pending (only the adjusting procedure reads `congested`, and it never
-/// runs after a pass that placed every item). Every scan that does run is
-/// counted in `parent_scans`.
+/// runs after a pass that placed every item).
 // REMO_HOT: one call per construct/adjust round.
 std::size_t construction_pass(MonitoringTree& tree,
                               std::vector<PendingItem>& pending,
                               TreeScheme scheme, std::vector<NodeId>* congested,
-                              BuildScratch& scratch, std::size_t& parent_scans) {
+                              BuildScratch& scratch) {
   const bool collector_first =
       tree.uniform_identity() &&
       (scheme == TreeScheme::kStar || scheme == TreeScheme::kAdaptive);
@@ -172,7 +171,6 @@ std::size_t construction_pass(MonitoringTree& tree,
     if (collector_first && scan.can_attach(kCollectorId)) {
       scratch.collector_run.emplace_back(tree.size(), sig.total);
     } else {
-      ++parent_scans;
       parent = select_parent(tree, scan, scheme, congested);
       if (parent == kNoNode) {
         failed.push_back(sig);
@@ -335,7 +333,7 @@ bool adjust(MonitoringTree& tree, const std::vector<NodeId>& congested,
 bool adjust_tree_once(MonitoringTree& tree, std::vector<NodeId> congested,
                       Capacity min_demand, const TreeBuildOptions& options,
                       TreeBuildResult* stats) {
-  TreeBuildResult unused{MonitoringTree({}, 0, tree.cost()), {}, 0, 0, 0.0, 0};
+  TreeBuildResult unused{MonitoringTree({}, 0, tree.cost()), {}, 0, 0, 0.0};
   TreeBuildResult& sink = stats != nullptr ? *stats : unused;
   BuildScratch scratch;
   return adjust(tree, congested, min_demand, options, sink, scratch);
@@ -362,8 +360,7 @@ TreeBuildResult build_tree(std::vector<TreeAttrSpec> attrs,
                          {},
                          0,
                          0,
-                         0.0,
-                         0};
+                         0.0};
   result.tree.reserve(items.size());
 
   // Nodes with nothing to report never join; surface them as rejected so
@@ -395,7 +392,7 @@ TreeBuildResult build_tree(std::vector<TreeAttrSpec> attrs,
     congested.clear();
     const std::size_t attached =
         construction_pass(result.tree, pending, options.scheme, &congested,
-                          scratch, result.parent_scans);
+                          scratch);
     if (pending.empty()) break;
     if (attached > 0)
       fruitless = 0;

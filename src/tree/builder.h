@@ -56,11 +56,6 @@ struct TreeBuildResult {
   /// CPU seconds spent inside the adjusting procedure (the quantity the
   /// Sec. 5.1 optimizations speed up; Fig. 10 reports its ratio).
   double adjust_seconds = 0.0;
-  /// Parent scans run (select_parent calls over every vertex). A build
-  /// that ran none hung each item it placed under the collector without a
-  /// scan (collector-first construction) and costs about what a memo
-  /// lookup costs; the planner memoizes only the others (DESIGN.md §7).
-  std::size_t parent_scans = 0;
 };
 
 /// Builds one monitoring tree. `items` need not be sorted; nodes with zero

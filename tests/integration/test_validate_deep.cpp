@@ -3,7 +3,8 @@
 // reattach/rollback machinery, and a full guided-search plan — with
 // REMO_VALIDATE=1, so every REMO_VALIDATE hook (MonitoringTree::validate
 // after each tree mutation, Planner/TaskManager/repair invariants after
-// each commit) is armed. Any silently-corrupting bug aborts mid-run here
+// each commit, the recomputed items template behind every tree-build
+// cache hit) is armed. Any silently-corrupting bug aborts mid-run here
 // long before its symptom would surface as a wrong plan.
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "common/check.h"
 #include "core/monitoring_system.h"
 #include "federation/federated_system.h"
+#include "planner/tree_build_cache.h"
 #include "sim/simulator.h"
 #include "tree/builder.h"
 
@@ -196,6 +198,25 @@ TEST_F(ValidateDeep, GuidedSearchPlanPassesInvariantHooksEachCommit) {
   const Topology topo = planner.plan(pairs);
   EXPECT_TRUE(topo.validate(system));
   EXPECT_GT(topo.collected_pairs(), 0u);
+}
+
+// --- the tree-build cache's items templates -----------------------------
+
+TEST(TreeBuildCacheDeathTest, StaleEntryIsNeverServedUnderValidation) {
+  const bool before = validation_enabled();
+  set_validation_enabled(true);
+  PairSet pairs(8);
+  pairs.add(3, 1);
+  pairs.add(1, 4);
+  TreeBuildCache cache;
+  cache.items_template({1, 4}, pairs);
+  EXPECT_NE(cache.items_template({1, 4}, pairs), nullptr);  // still matches
+
+  // Mutate the slice the template was computed from without invalidating:
+  // serving it now would hand the builder the wrong members and counts.
+  pairs.add(3, 4);
+  EXPECT_DEATH((void)cache.items_template({1, 4}, pairs), "stale items template");
+  set_validation_enabled(before);
 }
 
 }  // namespace

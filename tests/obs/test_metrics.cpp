@@ -55,6 +55,52 @@ TEST(Histogram, UnsortedBoundsAreSortedAndDeduped) {
   EXPECT_EQ(snap.counts.size(), 3u);
 }
 
+TEST(Histogram, AssignOverwritesWithASnapshot) {
+  Histogram src({1.0, 10.0});
+  src.observe(0.5);
+  src.observe(20.0);
+  Histogram dst({1.0, 10.0});
+  dst.observe(5.0);
+  dst.assign(src.snapshot());
+  const auto got = dst.snapshot();
+  EXPECT_EQ(got.counts, (std::vector<std::uint64_t>{1, 0, 1}));
+  EXPECT_EQ(got.count, 2u);
+  EXPECT_DOUBLE_EQ(got.sum, 20.5);
+  dst.assign(src.snapshot());  // set semantics: assigning twice adds nothing
+  EXPECT_EQ(dst.snapshot().count, 2u);
+}
+
+// The federation root and the benches republish a private registry under
+// labeled names; histograms travel with the counters and gauges, with the
+// same idempotent set semantics.
+TEST(Registry, PublishLabeledCopiesEveryMetricKind) {
+  Registry shard;
+  shard.counter("planner.delta.replans").add(3);
+  shard.gauge("planner.build_seconds").set(0.25);
+  Histogram& replan =
+      shard.histogram("planner.delta.replan_seconds", Histogram::time_bounds());
+  replan.observe(2e-3);
+  replan.observe(5e-2);
+
+  Registry root;
+  publish_labeled(shard.snapshot(), "n320", root);
+  publish_labeled(shard.snapshot(), "n320", root);
+  const RegistrySnapshot snap = root.snapshot();
+  EXPECT_EQ(snap.counters.at("planner.n320.delta.replans"), 3u);
+  EXPECT_DOUBLE_EQ(snap.gauges.at("planner.n320.build_seconds"), 0.25);
+  const auto& hist = snap.histograms.at("planner.n320.delta.replan_seconds");
+  const auto want = replan.snapshot();
+  EXPECT_EQ(hist.bounds, want.bounds);
+  EXPECT_EQ(hist.counts, want.counts);
+  EXPECT_EQ(hist.count, 2u);
+  EXPECT_DOUBLE_EQ(hist.sum, want.sum);
+
+  replan.observe(3.0);  // a later publish carries the new state, not a sum
+  publish_labeled(shard.snapshot(), "n320", root);
+  EXPECT_EQ(root.snapshot().histograms.at("planner.n320.delta.replan_seconds").count,
+            3u);
+}
+
 TEST(Registry, RegistrationIsIdempotentWithStableAddresses) {
   Registry reg;
   Counter& a = reg.counter("x");

@@ -133,7 +133,7 @@ TEST(AdjustOnce, FullScopeMayMoveAcrossSubtrees) {
 
 TEST(AdjustOnce, StatsAccumulateReattachTests) {
   auto t = congested_hub(4);
-  TreeBuildResult stats{MonitoringTree({}, 0, kCost), {}, 0, 0, 0.0, 0};
+  TreeBuildResult stats{MonitoringTree({}, 0, kCost), {}, 0, 0, 0.0};
   ASSERT_TRUE(adjust_tree_once(t, {1}, kCost.message_cost(1), opts(true, true),
                                &stats));
   EXPECT_GT(stats.reattach_tests, 0u);

@@ -54,7 +54,7 @@ def main():
                     help="section title prefix to gate on")
     ap.add_argument("--key-column", default="nodes",
                     help="integer column identifying each row across runs")
-    ap.add_argument("--time-column", default="par+cache (ms)",
+    ap.add_argument("--time-column", default="parallel (ms)",
                     help="column holding the gated wall time")
     ap.add_argument("--collected-column", default="collected",
                     help="column that must match the baseline exactly")

@@ -96,7 +96,6 @@ struct BuildContext {
   AllocationScheme scheme;
   const ShareInfo& shares;
   BuildPass pass;
-  TreeBuildCache& cache;
 };
 
 // REMO_HOT: once per (re)built tree per candidate scored — the inner loop
@@ -104,22 +103,21 @@ struct BuildContext {
 // (build_topology) or rebuilt (rebuild_score). Fills the tree's attribute
 // specs and offered items with their effective budgets (capped by
 // `sc.remaining`) into `sc` — the member list and local counts come from
-// the cache's items template, computed once per attribute set — and
-// builds the tree.
+// `t`, the cache's items template for `attrs` — and builds the tree.
 TreeEntry build_entry(const BuildContext& ctx, const std::vector<AttrId>& attrs,
+                      const TreeBuildCache::ItemsTemplate& t,
                       std::size_t tree_idx, RebuildScratch& sc) {
   sc.tree_attrs.clear();
   sc.tree_attrs.reserve(attrs.size());
   for (AttrId a : attrs) sc.tree_attrs.push_back(ctx.specs.tree_spec(a));
 
-  const auto* t = ctx.cache.items_template(attrs, ctx.pairs);
   sc.items.clear();
-  sc.items.resize(t->nodes.size());
-  for (std::size_t i = 0; i < t->nodes.size(); ++i) {
-    const NodeId n = t->nodes[i];
+  sc.items.resize(t.nodes.size());
+  for (std::size_t i = 0; i < t.nodes.size(); ++i) {
+    const NodeId n = t.nodes[i];
     BuildItem& item = sc.items[i];
     item.id = n;
-    const auto row = t->local.begin() + static_cast<std::ptrdiff_t>(i * attrs.size());
+    const auto row = t.local.begin() + static_cast<std::ptrdiff_t>(i * attrs.size());
     item.local.assign(row, row + static_cast<std::ptrdiff_t>(attrs.size()));
     item.avail = std::min(sc.remaining[n],
                           advisory_share(ctx.scheme, n, ctx.system.capacity(n),
@@ -132,7 +130,7 @@ TreeEntry build_entry(const BuildContext& ctx, const std::vector<AttrId>& attrs,
 
   auto result = build_tree(std::move(sc.tree_attrs), std::move(sc.items),
                            collector_avail, ctx.system.cost(), ctx.tree_opts);
-  TreeEntry entry{attrs, std::move(result.tree), t->offered, 0};
+  TreeEntry entry{attrs, std::move(result.tree), t.offered, 0};
   entry.collected_pairs = entry.tree.collected_pairs();
   return entry;
 }
@@ -171,9 +169,9 @@ std::vector<std::size_t> build_order(AllocationScheme scheme,
 
 /// The prologue of rebuild_score. Fills `sc` with the sorted victims, the
 /// kept entry indices, the post-operation sets (kept sets in entry order,
-/// then the new sets, which take the tail indices), the remaining budgets
-/// and the new sets' build order, and returns the shares the new builds
-/// read.
+/// then the new sets, which take the tail indices), the new sets' items
+/// templates (one lookup each), the remaining budgets and the new sets'
+/// build order, and returns the shares the new builds read.
 /// Kept usage accumulates in entry order from zero, so each budget is
 /// bit-identical to capacity minus node_usage() — floored at 0: repair and
 /// parking may spend collector headroom the planning model holds back, and
@@ -199,6 +197,8 @@ ShareInfo rebuild_prologue(const Topology& topo, const SystemModel& system,
   }
   const std::size_t first_new = sc.kept.size();
   for (const auto& s : new_sets) sc.all_sets.push_back(s);
+  sc.templates.clear();
+  for (const auto& s : new_sets) sc.templates.push_back(cache.items_template(s, pairs));
 
   // Demand-driven rebuilds never read the advisory shares —
   // advisory_share() answers "unconstrained" for every vertex in the
@@ -210,8 +210,8 @@ ShareInfo rebuild_prologue(const Topology& topo, const SystemModel& system,
   ShareInfo shares;
   if (demand_driven) {
     shares.tree_size.resize(sc.all_sets.size());
-    for (std::size_t k = first_new; k < sc.all_sets.size(); ++k)
-      shares.tree_size[k] = cache.items_template(sc.all_sets[k], pairs)->nodes.size();
+    for (std::size_t k = 0; k < new_sets.size(); ++k)
+      shares.tree_size[first_new + k] = sc.templates[k]->nodes.size();
   } else {
     shares = compute_shares(system, pairs, sc.all_sets);
   }
@@ -347,14 +347,14 @@ Topology build_topology(const SystemModel& system, const PairSet& pairs,
   const auto& sets = partition.sets();
   const ShareInfo shares = compute_shares(system, pairs, sets);
   const BuildContext ctx{system, pairs, specs, tree_opts, allocation,
-                         shares, BuildPass::kInitial, cache};
+                         shares, BuildPass::kInitial};
 
   RebuildScratch sc;
   sc.remaining.resize(system.num_vertices());
   for (NodeId n = 0; n < system.num_vertices(); ++n) sc.remaining[n] = system.capacity(n);
 
   for (std::size_t k : build_order(allocation, shares.tree_size)) {
-    auto entry = build_entry(ctx, sets[k], k, sc);
+    auto entry = build_entry(ctx, sets[k], *cache.items_template(sets[k], pairs), k, sc);
     charge_usage(sc.remaining, entry.tree);
     topo.mutable_entries().push_back(std::move(entry));
   }
@@ -371,7 +371,7 @@ RebuildScore rebuild_score(const Topology& topo, const SystemModel& system,
   const ShareInfo shares = rebuild_prologue(topo, system, pairs, victim_indices,
                                             new_sets, allocation, cache, sc);
   const BuildContext ctx{system, pairs, specs, tree_opts, allocation,
-                         shares, BuildPass::kRebuild, cache};
+                         shares, BuildPass::kRebuild};
   // Every accumulation below runs in the assembled topology's entry order
   // (kept entries in original order, then new trees in build order), so
   // the result is bit-identical to score_of(assemble_rebuild(...)) — ties
@@ -383,7 +383,8 @@ RebuildScore rebuild_score(const Topology& topo, const SystemModel& system,
   }
   new_trees.clear();
   for (std::size_t k : sc.order) {
-    TreeEntry entry = build_entry(ctx, new_sets[k], sc.kept.size() + k, sc);
+    TreeEntry entry =
+        build_entry(ctx, new_sets[k], *sc.templates[k], sc.kept.size() + k, sc);
     charge_usage(sc.remaining, entry.tree);
     score.collected += entry.collected_pairs;
     score.cost += entry.tree.total_cost();

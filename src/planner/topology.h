@@ -9,13 +9,12 @@
 #include "cost/system_model.h"
 #include "partition/partition.h"
 #include "planner/attr_specs.h"
+#include "planner/tree_build_cache.h"
 #include "task/pair_set.h"
 #include "tree/builder.h"
 #include "tree/monitoring_tree.h"
 
 namespace remo {
-
-class TreeBuildCache;
 
 /// How a node's capacity is divided among the trees it participates in
 /// (Sec. 5.2). All schemes are additionally hard-capped by the node's
@@ -128,6 +127,9 @@ struct RebuildScratch {
   std::vector<Capacity> remaining;
   std::vector<std::size_t> new_sizes;
   std::vector<std::size_t> order;  // new-set indices in build order
+  /// Per new set, its items template: looked up once by the prologue (the
+  /// demand-driven build order reads its size) and built from.
+  std::vector<const TreeBuildCache::ItemsTemplate*> templates;
   std::vector<TreeAttrSpec> tree_attrs;
   std::vector<BuildItem> items;
 };

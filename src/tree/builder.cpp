@@ -5,8 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "common/sorted_vector.h"
-
 namespace remo {
 
 namespace {
@@ -19,6 +17,8 @@ constexpr std::size_t kMaxFruitlessAdjusts = 4;
 /// call), so the construct/adjust loop allocates nothing per round once the
 /// buffers have grown.
 struct BuildScratch {
+  /// The congested nodes one construction pass records, each once: a node
+  /// joins only while its mark is unset (see add_congested).
   std::vector<NodeId> congested;
   /// Demand signatures whose parent scan found no vertex since the tree
   /// last changed (see construction_pass). They borrow the pending items'
@@ -29,8 +29,8 @@ struct BuildScratch {
   std::vector<std::pair<std::size_t, std::uint64_t>> collector_run;
   std::vector<std::pair<std::size_t, NodeId>> depth_keys;  // (depth, id)
   std::vector<std::pair<Capacity, NodeId>> cost_keys;      // (send cost, id)
-  std::vector<std::pair<Capacity, NodeId>> slack_keys;     // (slack, id)
-  std::vector<NodeId> branch, scope, targets;
+  std::vector<MonitoringTree::RankedTarget> slack_keys;    // (slack, id)
+  std::vector<NodeId> branch, scope;
   /// NodeId-indexed flags; all zero between uses.
   std::vector<std::uint8_t> mark;
 
@@ -42,17 +42,24 @@ struct BuildScratch {
   void clear_marks(const std::vector<NodeId>& nodes) {
     for (NodeId v : nodes) mark[v] = 0;
   }
+  /// Records congested node `v` unless the pass already has; the marks
+  /// stay set until construction_pass clears them at its end.
+  void add_congested(NodeId v) {
+    if (marked(v)) return;
+    set_mark(v);
+    congested.push_back(v);
+  }
 };
 
 /// Parent-selection criterion per scheme over `scan`'s item. Returns
 /// kNoNode if no vertex can feasibly accept the item; otherwise the chosen
-/// parent. Blocking vertices encountered during the scan are appended to
-/// `congested`. The scan answers can_attach in O(1) per candidate instead
-/// of one ancestor walk each (bit-identical booleans and blockers).
+/// parent. Blocking vertices encountered during the scan join
+/// `scratch.congested`. The scan answers can_attach in O(1) per candidate
+/// instead of one ancestor walk each (bit-identical booleans and blockers).
 // REMO_HOT: called once per pending item per construction pass.
 NodeId select_parent(const MonitoringTree& tree,
                      const MonitoringTree::AttachScan& scan, TreeScheme scheme,
-                     std::vector<NodeId>* congested) {
+                     BuildScratch& scratch) {
   NodeId best = kNoNode;
   // (primary, secondary) score; lower is better.
   double best_primary = std::numeric_limits<double>::infinity();
@@ -61,7 +68,7 @@ NodeId select_parent(const MonitoringTree& tree,
   auto consider = [&](NodeId v) {
     NodeId blocker = kNoNode;
     if (!scan.can_attach(v, &blocker)) {
-      if (congested && blocker != kNoNode) congested->push_back(blocker);
+      if (blocker != kNoNode) scratch.add_congested(blocker);
       return;
     }
     double primary = 0.0;
@@ -109,40 +116,39 @@ Capacity item_demand(const MonitoringTree& tree, const BuildItem& item) {
   return tree.cost().per_message + tree.cost().per_value * y;
 }
 
-/// Appends the blockers that the parent scans skipped by the pending
+/// Records the blockers that the parent scans skipped by the pending
 /// collector-first attaches would have recorded, and clears the run. Such
 /// a scan's blockers are the members whose parent-hop check fails for the
 /// item (MonitoringTree::parent_hop_fails). No member changes while items
 /// join under the collector, and the check is monotone in the item's
 /// value total, so each member is tested once, against the largest total
 /// among the run's items that scanned it: the items that joined after it.
-void record_collector_run(const MonitoringTree& tree, BuildScratch& scratch,
-                          std::vector<NodeId>* congested) {
+/// A member already recorded needs no test.
+void record_collector_run(const MonitoringTree& tree, BuildScratch& scratch) {
   auto& run = scratch.collector_run;
-  if (congested) {
-    const auto& members = tree.members();
-    std::uint64_t largest = 0;
-    for (std::size_t r = run.size(); r-- > 0;) {
-      // Members [run[r-1].first, run[r].first) were scanned by items r..end.
-      largest = std::max(largest, run[r].second);
-      for (std::size_t j = r == 0 ? 0 : run[r - 1].first; j < run[r].first; ++j)
-        if (tree.parent_hop_fails(members[j], largest))
-          congested->push_back(members[j]);
-    }
+  const auto& members = tree.members();
+  std::uint64_t largest = 0;
+  for (std::size_t r = run.size(); r-- > 0;) {
+    // Members [run[r-1].first, run[r].first) were scanned by items r..end.
+    largest = std::max(largest, run[r].second);
+    for (std::size_t j = r == 0 ? 0 : run[r - 1].first; j < run[r].first; ++j)
+      if (!scratch.marked(members[j]) &&
+          tree.parent_hop_fails(members[j], largest))
+        scratch.add_congested(members[j]);
   }
   run.clear();
 }
 
 /// One construction pass (the STAR-like construction procedure): tries to
-/// attach every pending item, removing the ones that succeed. Returns the
-/// number of attachments made.
+/// attach every pending item, removing the ones that succeed, and leaves
+/// the pass's congested nodes in `scratch.congested`, sorted, each once.
+/// Returns the number of attachments made.
 ///
 /// A parent scan answers an item only through its demand signature (or
 /// through its own budget, which records no congested node), so once a
 /// signature has failed, every later item with that signature fails the
 /// same way with the same blockers — until an attach changes the tree.
-/// Such items skip the scan: the blockers are already in `congested`, which
-/// is deduplicated at the end.
+/// Such items skip the scan: the blockers are already recorded.
 ///
 /// Collector first: under STAR and ADAPTIVE the collector is the only
 /// depth-0 vertex, so select_parent returns it whenever it is feasible. On
@@ -154,12 +160,12 @@ void record_collector_run(const MonitoringTree& tree, BuildScratch& scratch,
 // REMO_HOT: one call per construct/adjust round.
 std::size_t construction_pass(MonitoringTree& tree,
                               std::vector<PendingItem>& pending,
-                              TreeScheme scheme, std::vector<NodeId>* congested,
-                              BuildScratch& scratch) {
+                              TreeScheme scheme, BuildScratch& scratch) {
   const bool collector_first =
       tree.uniform_identity() &&
       (scheme == TreeScheme::kStar || scheme == TreeScheme::kAdaptive);
   std::size_t attached = 0;
+  scratch.congested.clear();
   auto& failed = scratch.failed;
   failed.clear();
   for (auto& p : pending) {
@@ -171,12 +177,12 @@ std::size_t construction_pass(MonitoringTree& tree,
     if (collector_first && scan.can_attach(kCollectorId)) {
       scratch.collector_run.emplace_back(tree.size(), sig.total);
     } else {
-      parent = select_parent(tree, scan, scheme, congested);
+      parent = select_parent(tree, scan, scheme, scratch);
       if (parent == kNoNode) {
         failed.push_back(sig);
         continue;
       }
-      if (parent != kCollectorId) record_collector_run(tree, scratch, congested);
+      if (parent != kCollectorId) record_collector_run(tree, scratch);
     }
     tree.attach(p.item, parent);
     p.attached = true;
@@ -187,8 +193,10 @@ std::size_t construction_pass(MonitoringTree& tree,
   if (pending.empty())
     scratch.collector_run.clear();
   else
-    record_collector_run(tree, scratch, congested);
-  if (congested) sort_unique(*congested);
+    record_collector_run(tree, scratch);
+  // The adjusting procedure reuses the marks; they go back to zero here.
+  scratch.clear_marks(scratch.congested);
+  std::sort(scratch.congested.begin(), scratch.congested.end());
   return attached;
 }
 
@@ -201,9 +209,9 @@ Capacity min_pending_demand(const std::vector<PendingItem>& pending) {
 }
 
 /// Reattachment candidates for branch `b` pruned from congested node `dc`,
-/// written to `scratch.targets`. `subtree_scope`: restrict to dc's subtree
-/// (minus the branch and dc itself); otherwise every vertex except dc and
-/// the branch.
+/// keyed by slack into `scratch.slack_keys` in gathering order.
+/// `subtree_scope`: restrict to dc's subtree (minus the branch and dc
+/// itself); otherwise every vertex except dc and the branch.
 // REMO_HOT: one call per pruned branch in the adjusting procedure.
 void reattach_candidates(const MonitoringTree& tree, NodeId dc, NodeId b,
                          bool subtree_scope, BuildScratch& scratch) {
@@ -224,15 +232,6 @@ void reattach_candidates(const MonitoringTree& tree, NodeId dc, NodeId b,
   }
   scratch.clear_marks(scratch.branch);
   scratch.mark[dc] = 0;
-  // Prefer targets with the most slack: they are the likeliest to absorb
-  // the branch, keeping the scan short. (slack, id) is a strict total
-  // order, so the list does not depend on the gathering order above.
-  std::sort(keys.begin(), keys.end(), [](const auto& x, const auto& y) {
-    if (x.first != y.first) return x.first > y.first;
-    return x.second < y.second;
-  });
-  scratch.targets.clear();
-  for (const auto& k : keys) scratch.targets.push_back(k.second);
 }
 
 /// The adjusting procedure: pick a congested node (shallowest first — "low
@@ -268,12 +267,17 @@ bool adjust(MonitoringTree& tree, const std::vector<NodeId>& congested,
       const bool scope_subtree = opts.subtree_only && min_demand <= b_cost + 1e-9;
 
       if (opts.branch_reattach) {
+        // Targets with the most slack go first: they are the likeliest to
+        // absorb the branch, keeping the scan short. (slack, id) is a
+        // strict total order, so the rank does not depend on the gathering
+        // order; only the targets that pass their own hop are sorted.
         reattach_candidates(tree, dc, b, scope_subtree, scratch);
-        const auto& targets = scratch.targets;
-        const std::size_t taken = tree.move_branch_first(b, targets);
-        // One test per target tried, as a move_branch loop would count.
-        stats.reattach_tests += std::min(taken + 1, targets.size());
-        if (taken < targets.size()) return true;
+        auto& keys = scratch.slack_keys;
+        const std::size_t rank = tree.move_branch_ranked(b, keys);
+        // One test per target ranked up to the taker, as a move_branch
+        // loop over the sorted list would count.
+        stats.reattach_tests += std::min(rank + 1, keys.size());
+        if (rank < keys.size()) return true;
       } else {
         // Node-by-node reattach (the basic scheme): detach the branch, then
         // greedily re-insert each node anywhere except dc. All-or-nothing:
@@ -386,13 +390,10 @@ TreeBuildResult build_tree(std::vector<TreeAttrSpec> attrs,
             });
 
   BuildScratch scratch;
-  std::vector<NodeId>& congested = scratch.congested;
   std::size_t fruitless = 0;
   while (!pending.empty()) {
-    congested.clear();
     const std::size_t attached =
-        construction_pass(result.tree, pending, options.scheme, &congested,
-                          scratch);
+        construction_pass(result.tree, pending, options.scheme, scratch);
     if (pending.empty()) break;
     if (attached > 0)
       fruitless = 0;
@@ -405,8 +406,8 @@ TreeBuildResult build_tree(std::vector<TreeAttrSpec> attrs,
     }
     const Capacity min_demand = min_pending_demand(pending);
     const auto adjust_start = std::chrono::steady_clock::now();
-    const bool adjusted =
-        adjust(result.tree, congested, min_demand, options, result, scratch);
+    const bool adjusted = adjust(result.tree, scratch.congested, min_demand,
+                                 options, result, scratch);
     result.adjust_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       adjust_start)

@@ -590,31 +590,30 @@ void MonitoringTree::relink(Slot r, Slot parent, const std::uint32_t* out,
   recv_[parent] += u;
 }
 
-// REMO_HOT: one call per pruned branch in the adjusting procedure.
-std::size_t MonitoringTree::move_branch_first(NodeId r,
-                                              std::span<const NodeId> targets) {
-  const std::size_t none = targets.size();
-  if (!contains(r)) return none;
-  const Slot rs = lookup_[r];
+template <class TargetAt, class TestedElsewhere>
+std::size_t MonitoringTree::first_fit(Slot rs, std::size_t n, TargetAt target,
+                                      TestedElsewhere tested_elsewhere) {
   const Slot ops = parent_[rs];
   // r's out row and message cost do not change while the branch is
   // unlinked, so one unlink serves every target: each test is then the
   // non-mutating walk a fresh move_branch would run after its own unlink.
   Capacity u = 0.0;
   bool unlinked = false;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    const NodeId t = targets[i];
+  auto unlink_once = [&] {
+    if (unlinked) return;
+    const std::uint32_t* in = in_row(rs);
+    for (std::size_t m = 0; m < attrs_.size(); ++m)
+      out_scratch_[m] = attrs_[m].funnel(in[m]);
+    u = cost_.per_message + cost_.per_value * y_[rs];
+    unlink(rs, out_scratch_.data(), u);
+    unlinked = true;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId t = target(i);
     if (!contains(t)) continue;
     const Slot nps = lookup_[t];
     if (nps == ops || slot_in_subtree(nps, rs)) continue;  // no-op, or a cycle
-    if (!unlinked) {
-      const std::uint32_t* in = in_row(rs);
-      for (std::size_t m = 0; m < attrs_.size(); ++m)
-        out_scratch_[m] = attrs_[m].funnel(in[m]);
-      u = cost_.per_message + cost_.per_value * y_[rs];
-      unlink(rs, out_scratch_.data(), u);
-      unlinked = true;
-    }
+    unlink_once();
     if (!feasible_add(nps, out_scratch_.data(), u, nullptr)) continue;
     relink(rs, nps, out_scratch_.data(), u);
     jparent(rs);
@@ -634,17 +633,76 @@ std::size_t MonitoringTree::move_branch_first(NodeId r,
       }
     }
     bump_generation();
-    deep_validate("move_branch_first");
+    deep_validate("move_branch");
     return i;
   }
+  if (!unlinked && tested_elsewhere()) unlink_once();
   if (unlinked) {
     // No tested target fits: back under the old parent, at the back of its
     // child list (what a failed move_branch has always left).
     relink(rs, ops, out_scratch_.data(), u);
     bump_generation();
-    deep_validate("move_branch_first");
+    deep_validate("move_branch");
   }
-  return none;
+  return n;
+}
+
+std::size_t MonitoringTree::move_branch_first(NodeId r,
+                                              std::span<const NodeId> targets) {
+  if (!contains(r)) return targets.size();
+  return first_fit(
+      lookup_[r], targets.size(), [&](std::size_t i) { return targets[i]; },
+      [] { return false; });
+}
+
+// REMO_HOT: one call per pruned branch in the adjusting procedure.
+std::size_t MonitoringTree::move_branch_ranked(NodeId r,
+                                               std::span<RankedTarget> targets) {
+  if (!contains(r)) return targets.size();
+  const Slot rs = lookup_[r];
+  const Slot ops = parent_[rs];
+  // Targets that may take the branch go to the front; the rest fail their
+  // own hop. On a non-identity tree every target stays in front.
+  auto cut = targets.end();
+  if (uniform_identity_ && ops != kNoSlot) {
+    // ops's root path by depth: the vertices whose loads the unlink moves.
+    slot_stack_.resize(depth_[ops] + 1);
+    for (Slot s = ops; s != kNoSlot; s = parent_[s]) slot_stack_[depth_[s]] = s;
+    // The first hop of the walk feasible_add runs for the unlinked branch:
+    // its message cost, and the payload cost of its out total.
+    const double dsum =
+        static_cast<double>(simd::sum_u32(in_row(rs), attrs_.size()));
+    const Capacity u = cost_.per_message + cost_.per_value * y_[rs];
+    const Capacity pvd = cost_.per_value * dsum;
+    cut = std::partition(targets.begin(), targets.end(),
+                         [&](const RankedTarget& t) {
+                           if (!contains(t.second)) return true;  // skipped
+                           const Slot q = lookup_[t.second];
+                           if (depth_[q] <= depth_[ops] &&
+                               slot_stack_[depth_[q]] == q)
+                             return true;  // loads move with the unlink
+                           return !hop_fails(q, u, pvd);
+                         });
+  }
+  const auto above = [](const RankedTarget& x, const RankedTarget& y) {
+    if (x.first != y.first) return x.first > y.first;
+    return x.second < y.second;
+  };
+  std::sort(targets.begin(), cut, above);
+  const auto ranked = static_cast<std::size_t>(cut - targets.begin());
+  const std::size_t pos = first_fit(
+      rs, ranked, [&](std::size_t i) { return targets[i].second; }, [&] {
+        // A target left unsorted is present and off ops's root path, so
+        // the sorted call tests it unless it lies inside the branch.
+        return std::any_of(cut, targets.end(), [&](const RankedTarget& t) {
+          return !slot_in_subtree(lookup_[t.second], rs);
+        });
+      });
+  if (pos == ranked) return targets.size();
+  const RankedTarget& taker = targets[pos];
+  return static_cast<std::size_t>(
+      std::count_if(targets.begin(), targets.end(),
+                    [&](const RankedTarget& t) { return above(t, taker); }));
 }
 
 std::vector<BuildItem> MonitoringTree::detach_branch(NodeId r) {

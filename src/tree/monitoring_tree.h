@@ -340,6 +340,23 @@ class MonitoringTree {
   /// If no target was tested, nothing changes. Equivalent to calling
   /// move_branch(r, t) for each target in order until one succeeds.
   std::size_t move_branch_first(NodeId r, std::span<const NodeId> targets);
+  /// A reattach target with its rank key: targets rank by descending key,
+  /// ties by ascending id (the adjusting procedure keys them by slack).
+  using RankedTarget = std::pair<Capacity, NodeId>;
+  /// move_branch_first over `targets` sorted into rank order, without
+  /// sorting the targets that cannot take the branch at their own hop. On
+  /// uniform-identity trees the unlink moves the loads of r's old parent
+  /// and its ancestors only, so any other target reads the same loads at
+  /// the first hop of its feasibility walk (hop_fails) before the unlink
+  /// as after it. A target that fails that hop fails its test and is left
+  /// unsorted; the move is first-fit over the sorted rest. Returns the
+  /// number of targets ranked above the one that took the branch (the
+  /// index move_branch_first returns on the sorted list), or
+  /// targets.size() if none did. The tree ends bit for bit as that call
+  /// leaves it: a testable target left unsorted still counts as a failed
+  /// test, so r goes to the back of its parent's child list if nothing
+  /// fits. Reorders `targets`.
+  std::size_t move_branch_ranked(NodeId r, std::span<RankedTarget> targets);
   /// Re-parent branch `r` under `new_parent`: move_branch_first with one
   /// target. Returns false if the move is illegal (tree unchanged) or
   /// infeasible (r moved to the back of its parent's child list).
@@ -474,6 +491,16 @@ class MonitoringTree {
   /// Inverse of unlink: appends `r` to `parent`'s child list and adds its
   /// message to the loads. Does not touch parent_[r] or depths.
   void relink(Slot r, Slot parent, const std::uint32_t* out, Capacity u);
+  /// The first-fit loop of move_branch_first and move_branch_ranked: tries
+  /// target(0) … target(n-1) in order and re-parents branch `rs` under the
+  /// first that fits, returning its position, or n. Absent targets, rs's
+  /// parent and the branch's own vertices are skipped untested. The branch
+  /// is unlinked once, before the first test; if nothing fits it is
+  /// relinked at the back of its parent's child list — also when no
+  /// listed target was tested but `tested_elsewhere()` is true.
+  template <class TargetAt, class TestedElsewhere>
+  std::size_t first_fit(Slot rs, std::size_t n, TargetAt target,
+                        TestedElsewhere tested_elsewhere);
 
   // -- journal helpers (no-ops unless journal_on_) --
   void jloads(Slot s);                      // snapshot (in row, y, recv)
@@ -521,8 +548,8 @@ class MonitoringTree {
   // if the whole chain passes.
   mutable std::vector<std::uint8_t> scan_pfail_, scan_afail_, scan_done_;
   mutable std::vector<NodeId> scan_anc_blocker_;
-  // Slot stack shared by the attach-mask chase and move_branch_first's
-  // depth shift (neither is live while the other runs).
+  // Slot stack shared by the attach-mask chase, move_branch_ranked's root
+  // path and first_fit's depth shift (none is live while another runs).
   mutable std::vector<Slot> slot_stack_;
   mutable bool scan_skip_anc_ = false;
 

@@ -137,6 +137,33 @@ TEST(Topology, RebuildTreesReplacesVictimsOnly) {
   EXPECT_TRUE(found);
 }
 
+// Each new set's items template is looked up once per rebuild: the
+// demand-driven prologue reads its size for the build order, and the build
+// reads the same pointer. Cold or warm, under ORDERED or UNIFORM, k new
+// sets cost k lookups (hits + misses).
+TEST(Topology, RebuildLooksUpEachNewTemplateOnce) {
+  for (const auto scheme : {AllocationScheme::kOrdered, AllocationScheme::kUniform}) {
+    Fixture f(10, 4, 1e6, 1e6);
+    const auto topo =
+        build_topology(f.system, f.pairs, Partition::singleton({0, 1, 2, 3}),
+                       AttrSpecTable{}, scheme, adaptive(), f.cache);
+    // The four singleton trees become {0,1} and {2,3}: two new sets, cold
+    // templates in round 0, warm ones in round 1.
+    const std::vector<std::vector<AttrId>> new_sets{{0, 1}, {2, 3}};
+    for (int round = 0; round < 2; ++round) {
+      const std::size_t before = f.cache.hits() + f.cache.misses();
+      RebuildScratch sc;
+      std::vector<TreeEntry> new_trees;
+      rebuild_score(topo, f.system, f.pairs, {0, 1, 2, 3}, new_sets, AttrSpecTable{},
+                    scheme, adaptive(), f.cache, sc, new_trees);
+      EXPECT_EQ(f.cache.hits() + f.cache.misses() - before, new_sets.size())
+          << to_string(scheme) << " round " << round;
+      EXPECT_EQ(new_trees.size(), new_sets.size());
+    }
+    EXPECT_EQ(f.cache.misses(), 4u + new_sets.size()) << to_string(scheme);
+  }
+}
+
 TEST(Topology, MergedTreeSavesMessages) {
   Fixture f(12, 2, 1e6, 1e6);
   auto split = build_topology(f.system, f.pairs, Partition::singleton({0, 1}),

@@ -18,9 +18,13 @@
 //
 // The value penalty of the optimized configuration (< 2% in the paper) is
 // measured separately on full topology plans.
+#include <array>
 #include <chrono>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_support.h"
+#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "tree/builder.h"
 
@@ -70,23 +74,34 @@ SaturatedFixture make_fixture(std::size_t hubs, std::size_t branches,
   return SaturatedFixture{std::move(tree), {first_hub}, kCost.message_cost(1)};
 }
 
-double time_adjust(const SaturatedFixture& fixture, bool branch, bool subtree) {
-  TreeBuildOptions opts;
-  opts.scheme = TreeScheme::kAdaptive;
-  opts.branch_reattach = branch;
-  opts.subtree_only = subtree;
-  // Repeat on fresh copies so every iteration performs the same move.
-  const int reps = 20;
-  double total = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    MonitoringTree tree = fixture.tree;
-    const auto start = std::chrono::steady_clock::now();
-    adjust_tree_once(tree, fixture.congested, fixture.min_demand, opts);
-    total += std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           start)
-                 .count();
+/// Median adjusting time, in seconds, of the four variants in the table's
+/// column order: basic, BRANCH, SUBTREE, BOTH. Each rep runs every variant
+/// once, in turn, on a fresh copy of the fixture (so each performs the same
+/// move) and times it on its own; the median rep is reported, so a
+/// preemption or a drift of the host lands on single reps and cannot move
+/// a cell.
+std::array<double, 4> time_adjusters(const SaturatedFixture& fixture) {
+  constexpr int kReps = 20;
+  constexpr std::array<std::pair<bool, bool>, 4> kVariants = {
+      {{false, false}, {true, false}, {false, true}, {true, true}}};
+  std::array<std::vector<double>, 4> reps;
+  for (int r = 0; r < kReps; ++r) {
+    for (std::size_t v = 0; v < kVariants.size(); ++v) {
+      TreeBuildOptions opts;
+      opts.scheme = TreeScheme::kAdaptive;
+      opts.branch_reattach = kVariants[v].first;
+      opts.subtree_only = kVariants[v].second;
+      MonitoringTree tree = fixture.tree;
+      const auto start = std::chrono::steady_clock::now();
+      adjust_tree_once(tree, fixture.congested, fixture.min_demand, opts);
+      reps[v].push_back(
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+              .count());
+    }
   }
-  return total / reps;
+  std::array<double, 4> median{};
+  for (std::size_t v = 0; v < reps.size(); ++v) median[v] = percentile(reps[v], 50.0);
+  return median;
 }
 
 struct Shape {
@@ -101,11 +116,8 @@ void speedup_sweep(const std::string& title, const std::vector<Shape>& shapes,
   Table t({label_nodes ? "tree nodes" : "hubs", "basic (us)",
            "BRANCH speedup", "SUBTREE speedup", "BOTH speedup"});
   for (const auto& [hubs, branches, chain_len] : shapes) {
-    const auto fixture = make_fixture(hubs, branches, chain_len);
-    const double basic = time_adjust(fixture, false, false);
-    const double branch_only = time_adjust(fixture, true, false);
-    const double subtree_only = time_adjust(fixture, false, true);
-    const double both = time_adjust(fixture, true, true);
+    const auto [basic, branch_only, subtree_only, both] =
+        time_adjusters(make_fixture(hubs, branches, chain_len));
     t.row()
         .add(static_cast<long long>(label_nodes
                                         ? hubs * (branches * chain_len + 1)

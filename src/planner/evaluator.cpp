@@ -1,6 +1,7 @@
 #include "planner/evaluator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 
 #include "common/check.h"
@@ -11,11 +12,6 @@
 namespace remo {
 
 namespace {
-
-// Candidates per pool task (for_each_blocked): each task scores one
-// contiguous rank-block with task-local scratch reused across the block.
-// Dispatch shape only — scores commit in rank order whatever the block.
-constexpr std::size_t kCandidateBlockSize = 4;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -122,40 +118,49 @@ Topology PlanEvaluator::build_full(const PairSet& pairs, const Partition& partit
   return topo;
 }
 
-PlanScore PlanEvaluator::score_candidate(const Topology& base, const Partition& p,
-                                         const PairSet& pairs,
-                                         const Augmentation& aug,
-                                         const PlanScore& current,
-                                         RebuildScratch& scratch,
-                                         std::vector<TreeEntry>& kept) {
-  const AugmentationFootprint fp = footprint(p, aug);
-  std::vector<TreeEntry> built;
-  const RebuildScore s = rebuild_score(base, *system_, pairs, fp.victims,
-                                       fp.new_sets, options_.attr_specs,
-                                       options_.allocation, options_.tree, cache_,
-                                       scratch, built);
-  const PlanScore score{s.collected, s.cost};
-  // Only a candidate that improves on `current` can win, so only its
-  // trees are kept for the commit.
-  if (improves(score, current)) kept = std::move(built);
-  return score;
-}
-
-void PlanEvaluator::for_each_blocked(
-    std::size_t n, const std::function<void(std::size_t, RebuildScratch&)>& fn) {
-  const std::size_t block = kCandidateBlockSize;
-  const std::size_t num_blocks = (n + block - 1) / block;
-  if (num_threads() <= 1 || num_blocks <= 1) {
+PlanEvaluator::Scored PlanEvaluator::score_in_rank_order(
+    const Topology& base, const Partition& p, const PairSet& pairs,
+    const std::vector<Augmentation>& candidates, std::size_t n,
+    const PlanScore& current, bool stop_at_first) {
+  Scored out{std::vector<PlanScore>(n), std::vector<std::vector<TreeEntry>>(n), n};
+  std::atomic<std::size_t> next{0};
+  // Lowest improving rank scored so far (first improvement only). It only
+  // falls, and a loop stops at a claim at or above it. Ranks are claimed
+  // in increasing order, so every rank below its final value was claimed
+  // while that value was still above it, and was scored: the final value
+  // is the rank a serial scan stops at, whatever the thread count or
+  // timing.
+  std::atomic<std::size_t> first{n};
+  const auto claim_loop = [&](std::size_t) {
     RebuildScratch scratch;
-    for (std::size_t i = 0; i < n; ++i) fn(i, scratch);
-    return;
+    for (;;) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= first.load()) return;
+      const AugmentationFootprint fp = footprint(p, candidates[i]);
+      std::vector<TreeEntry> built;
+      const RebuildScore s = rebuild_score(base, *system_, pairs, fp.victims,
+                                           fp.new_sets, options_.attr_specs,
+                                           options_.allocation, options_.tree,
+                                           cache_, scratch, built);
+      out.scores[i] = PlanScore{s.collected, s.cost};
+      // Only a candidate that improves on `current` can win, so only its
+      // trees are kept for the commit.
+      if (!improves(out.scores[i], current)) continue;
+      out.trees[i] = std::move(built);
+      if (!stop_at_first) continue;
+      std::size_t lowest = first.load();
+      while (i < lowest && !first.compare_exchange_weak(lowest, i)) {
+      }
+    }
+  };
+  const std::size_t loops = std::min(num_threads(), n);
+  if (loops <= 1) {
+    claim_loop(0);
+  } else {
+    pool().parallel_for(loops, claim_loop);
   }
-  pool().parallel_for(num_blocks, [&](std::size_t b) {
-    RebuildScratch scratch;
-    const std::size_t begin = b * block;
-    const std::size_t end = std::min(begin + block, n);
-    for (std::size_t i = begin; i < end; ++i) fn(i, scratch);
-  });
+  out.first = first.load();
+  return out;
 }
 
 PlanEvaluator::Result PlanEvaluator::materialize(
@@ -175,28 +180,24 @@ std::optional<PlanEvaluator::Result> PlanEvaluator::best_improving(
   const Counters::CacheWindow cache_window(*counters_, cache_);
   const auto start = std::chrono::steady_clock::now();
   const Partition p = base.partition();
-  std::vector<PlanScore> scores(candidates.size());
-  std::vector<std::vector<TreeEntry>> trees(candidates.size());
-  for_each_blocked(candidates.size(), [&](std::size_t i, RebuildScratch& scratch) {
-    scores[i] =
-        score_candidate(base, p, pairs, candidates[i], current, scratch, trees[i]);
-  });
+  Scored scored = score_in_rank_order(base, p, pairs, candidates, candidates.size(),
+                                      current, /*stop_at_first=*/false);
   counters_->evaluations->add(candidates.size());
 
   // Serial rank-order scan: strict improvement over the running best, so
   // ties go to the lowest-ranked candidate — identical to serial search.
   std::optional<std::size_t> best;
   PlanScore best_score = current;
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    if (improves(scores[i], best_score)) {
-      best_score = scores[i];
+  for (std::size_t i = 0; i < scored.scores.size(); ++i) {
+    if (improves(scored.scores[i], best_score)) {
+      best_score = scored.scores[i];
       best = i;
     }
   }
   std::optional<Result> out;
   if (best)
     out = materialize(base, p, pairs, candidates, *best, best_score,
-                      std::move(trees[*best]));
+                      std::move(scored.trees[*best]));
   counters_->evaluate_seconds->add(seconds_since(start));
   return out;
 }
@@ -210,30 +211,16 @@ std::optional<PlanEvaluator::Result> PlanEvaluator::first_improving(
   const auto start = std::chrono::steady_clock::now();
   const Partition p = base.partition();
   const std::size_t budget = std::min(candidates.size(), max_evaluations);
-  // One rank-block per thread and per chunk. The winner is invariant to
-  // the chunk size: chunks are scanned in rank order and the scan stops at
-  // the first improvement, so the committed candidate is the lowest-ranked
-  // improving one no matter how the chunks were cut.
-  const std::size_t chunk = kCandidateBlockSize * std::max<std::size_t>(num_threads(), 1);
+  Scored scored = score_in_rank_order(base, p, pairs, candidates, budget, current,
+                                      /*stop_at_first=*/true);
+  const std::size_t winner = scored.first;
   std::optional<Result> found;
-  std::size_t evaluated = 0;
-  for (std::size_t begin = 0; begin < budget && !found; begin += chunk) {
-    const std::size_t end = std::min(begin + chunk, budget);
-    std::vector<PlanScore> scores(end - begin);
-    std::vector<std::vector<TreeEntry>> trees(scores.size());
-    for_each_blocked(scores.size(), [&](std::size_t i, RebuildScratch& scratch) {
-      scores[i] = score_candidate(base, p, pairs, candidates[begin + i], current,
-                                  scratch, trees[i]);
-    });
-    evaluated += scores.size();
-    for (std::size_t i = 0; i < scores.size(); ++i) {
-      if (improves(scores[i], current)) {
-        found = materialize(base, p, pairs, candidates, begin + i, scores[i],
-                            std::move(trees[i]));
-        break;
-      }
-    }
-  }
+  if (winner < budget)
+    found = materialize(base, p, pairs, candidates, winner, scored.scores[winner],
+                        std::move(scored.trees[winner]));
+  // The serial prefix: ranks scored past the winner by other threads are
+  // not counted, so the count does not depend on the thread count.
+  const std::size_t evaluated = found ? winner + 1 : budget;
   counters_->evaluations->add(evaluated);
   counters_->evaluate_seconds->add(seconds_since(start));
   return found;

@@ -4,10 +4,12 @@
 // so that both share one hot path:
 //
 //   - candidates of one search iteration are evaluated concurrently on a
-//     fixed thread pool (PlannerOptions::num_threads), with deterministic
-//     commit: results land in candidate-rank slots and winners are chosen
-//     by (score, rank), never by completion order, so the chosen topology
-//     is bit-identical to serial evaluation;
+//     fixed thread pool (PlannerOptions::num_threads): the threads claim
+//     ranks in increasing order, results land in candidate-rank slots and
+//     winners are chosen by (score, rank), never by completion order, so
+//     the chosen topology is bit-identical to serial evaluation, and
+//     first improvement scores no rank a serial scan would not reach
+//     except the few already in flight;
 //   - each candidate's replacement trees are built once: scoring keeps the
 //     trees of every candidate that improves on the current plan, and the
 //     commit assembles the winner from them instead of building it again;
@@ -17,8 +19,9 @@
 // Thread model (DESIGN.md §16): the evaluator itself owns no lock — its
 // cross-thread state is exactly the annotated TreeBuildCache (capability
 // `cache_.mutex_`), the ThreadPool's job hand-off, and the registry's
-// lock-free metric objects. Pool tasks touch only their own rank slot,
-// their task-local RebuildScratch, and those three annotated structures,
+// lock-free metric objects. Pool loops touch only the slots of the ranks
+// they claim, their loop-local RebuildScratch, the claim counters (two
+// atomics), and those three annotated structures,
 // which is why the engine needs no capability of its own and the TSA
 // build proves the whole parallel section lock-correct.
 //
@@ -31,7 +34,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -48,7 +50,10 @@ class ThreadPool;
 struct EvalStats {
   /// Topologies built and scored: one per evaluated candidate, plus one
   /// per full-forest build (initial layout, re-layout escape, endpoint
-  /// guard).
+  /// guard). Under first improvement a list counts its serial prefix —
+  /// the winner's rank + 1, or the budget when nothing improves — not the
+  /// ranks other threads scored past the winner, so the count is the same
+  /// for every thread count.
   std::size_t evaluations = 0;
   /// Items-template lookups served from the cache / computed fresh
   /// (tree_build_cache.h).
@@ -115,9 +120,10 @@ class PlanEvaluator {
   /// First-improvement commit rule: the lowest-ranked candidate whose
   /// score strictly improves `current`, scoring at most `max_evaluations`
   /// candidates (the adaptive planner's per-list budget). Candidates are
-  /// scored in parallel chunks but the winner is the one a serial
-  /// rank-order scan would pick; its topology is assembled from the trees
-  /// its scoring built.
+  /// scored concurrently in rank order and no rank above the lowest
+  /// improving one found so far is claimed, so the winner is the one a
+  /// serial rank-order scan would pick; its topology is assembled from
+  /// the trees its scoring built.
   std::optional<Result> first_improving(const Topology& base, const PairSet& pairs,
                                         const std::vector<Augmentation>& candidates,
                                         const PlanScore& current,
@@ -134,21 +140,28 @@ class PlanEvaluator {
 
  private:
   struct Counters;
-  /// Scores one candidate (rebuild_score). The trees its rebuild built
-  /// are moved into `kept` only if the score improves on `current`.
-  PlanScore score_candidate(const Topology& base, const Partition& p,
-                            const PairSet& pairs, const Augmentation& aug,
-                            const PlanScore& current, RebuildScratch& scratch,
-                            std::vector<TreeEntry>& kept);
-  /// Block dispatcher for the scoring loops: runs fn(i, scratch) for every
-  /// i in [0, n), one pool task per contiguous rank-block of
-  /// kCandidateBlockSize candidates (evaluator.cpp). The scratch is
-  /// task-local and reused across the block's candidates, so per-candidate
-  /// allocation and pool dispatch amortize over the block. Pure dispatch
-  /// shape: every i runs exactly once into its own output slot, so callers
-  /// see results identical to the serial loop.
-  void for_each_blocked(std::size_t n,
-                        const std::function<void(std::size_t, RebuildScratch&)>& fn);
+  /// Scores by rank, and the kept trees of the ranks that improve on the
+  /// current plan (empty for the others).
+  struct Scored {
+    std::vector<PlanScore> scores;
+    std::vector<std::vector<TreeEntry>> trees;
+    /// With stop_at_first, the lowest improving rank; n when none
+    /// improves or without stop_at_first.
+    std::size_t first = 0;
+  };
+  /// The one dispatcher of both commit rules: scores candidates [0, n) by
+  /// rebuild_score. Each of num_threads() loops keeps one RebuildScratch
+  /// and claims the next rank from a shared counter, so ranks start in
+  /// increasing order and a thread that drew cheap candidates claims more.
+  /// Without `stop_at_first` every rank is scored. With it, no rank at or
+  /// above the lowest improving rank found so far is claimed, and `first`
+  /// is the rank a serial scan stops at; ranks past it that were already
+  /// being scored finish, but no caller reads them.
+  Scored score_in_rank_order(const Topology& base, const Partition& p,
+                             const PairSet& pairs,
+                             const std::vector<Augmentation>& candidates,
+                             std::size_t n, const PlanScore& current,
+                             bool stop_at_first);
   /// The scored winner: `base` without its victims plus the trees its
   /// scoring built — the topology rebuild_trees would build for it.
   Result materialize(const Topology& base, const Partition& p, const PairSet& pairs,

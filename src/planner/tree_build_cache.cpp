@@ -14,19 +14,36 @@ inline void mix(std::uint64_t& h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
 }
 
+// One pass over the nodes: a sorted merge of each node's attributes with
+// `attrs` yields its row and whether it monitors any of them. The same
+// members (nodes_with_any order), rows and total as nodes_with_any plus
+// one contains() probe per cell.
 TreeBuildCache::ItemsTemplate make_template(const std::vector<AttrId>& attrs,
                                             const PairSet& pairs) {
   TreeBuildCache::ItemsTemplate t;
-  t.nodes = pairs.nodes_with_any(attrs);
-  t.local.resize(t.nodes.size() * attrs.size());
-  std::size_t row = 0;
-  for (NodeId n : t.nodes) {
-    for (std::size_t m = 0; m < attrs.size(); ++m) {
-      const std::uint32_t v = pairs.contains(n, attrs[m]) ? 1u : 0u;
-      t.local[row + m] = v;
-      t.offered += v;
+  const std::size_t width = attrs.size();
+  for (NodeId n = 0; n < pairs.num_vertices(); ++n) {
+    const std::vector<AttrId>& mine = pairs.attrs_of(n);
+    std::size_t row = 0;
+    bool member = false;
+    for (std::size_t i = 0, m = 0; i < mine.size() && m < width;) {
+      if (mine[i] < attrs[m]) {
+        ++i;
+      } else if (attrs[m] < mine[i]) {
+        ++m;
+      } else {
+        if (!member) {
+          member = true;
+          row = t.local.size();
+          t.nodes.push_back(n);
+          t.local.resize(row + width, 0u);
+        }
+        t.local[row + m] = 1u;
+        ++t.offered;
+        ++i;
+        ++m;
+      }
     }
-    row += attrs.size();
   }
   return t;
 }
@@ -43,21 +60,34 @@ std::size_t TreeBuildCache::AttrsHash::operator()(
 
 const TreeBuildCache::ItemsTemplate* TreeBuildCache::items_template(
     const std::vector<AttrId>& attrs, const PairSet& pairs) {
-  MutexLock lock(mutex_);
-  auto it = templates_.find(attrs);
-  if (it != templates_.end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (validation_enabled()) {
-      REMO_VALIDATE(it->second == make_template(attrs, pairs),
-                    "tree-build cache served a stale items template: ",
-                    attrs.size(), " attrs / ", it->second.nodes.size(),
-                    " members no longer match the pair set — a pair-set "
-                    "change was not invalidated");
-    }
-    return &it->second;
+  const ItemsTemplate* cached = nullptr;
+  {
+    MutexLock lock(mutex_);
+    const auto it = templates_.find(attrs);
+    if (it != templates_.end()) cached = &it->second;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return &templates_.emplace(attrs, make_template(attrs, pairs)).first->second;
+  if (cached == nullptr) {
+    // A miss is computed outside the lock, so concurrent scorers keep
+    // looking up while it runs. If another thread inserted the same key
+    // first, this copy is dropped and the lookup counts a hit.
+    ItemsTemplate fresh = make_template(attrs, pairs);
+    MutexLock lock(mutex_);
+    const auto [it, inserted] = templates_.try_emplace(attrs, std::move(fresh));
+    if (inserted) {
+      misses_.fetch_add(1, std::memory_order_relaxed);
+      return &it->second;
+    }
+    cached = &it->second;
+  }
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  if (validation_enabled()) {
+    REMO_VALIDATE(*cached == make_template(attrs, pairs),
+                  "tree-build cache served a stale items template: ",
+                  attrs.size(), " attrs / ", cached->nodes.size(),
+                  " members no longer match the pair set — a pair-set "
+                  "change was not invalidated");
+  }
+  return cached;
 }
 
 std::size_t TreeBuildCache::invalidate_attrs(const std::vector<AttrId>& attrs) {

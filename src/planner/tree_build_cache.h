@@ -53,11 +53,14 @@ class TreeBuildCache {
 
   /// Returns the template for `attrs` (sorted), computing and caching it on
   /// first use and counting a hit or miss (REMO_HOT: one lookup per
-  /// rebuilt tree per candidate scored). The pointee is immutable and
-  /// stable across concurrent lookups, but invalidate_attrs() and clear()
-  /// destroy it — callers must not hold the pointer across either. Under
-  /// REMO_VALIDATE a hit is recomputed from `pairs` and must match —
-  /// serving a stale template aborts.
+  /// rebuilt tree per candidate scored). A miss is computed outside the
+  /// lock; when threads miss on the same key at once, the first insert
+  /// wins and the others drop their copies and count hits, so a key counts
+  /// one miss and all its lookups return one pointer. The pointee is
+  /// immutable and stable across concurrent lookups, but
+  /// invalidate_attrs() and clear() destroy it — callers must not hold the
+  /// pointer across either. Under REMO_VALIDATE a hit is recomputed from
+  /// `pairs` and must match — serving a stale template aborts.
   const ItemsTemplate* items_template(const std::vector<AttrId>& attrs,
                                       const PairSet& pairs)
       REMO_EXCLUDES(mutex_);

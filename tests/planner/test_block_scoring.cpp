@@ -1,6 +1,7 @@
-// Block-dispatch determinism properties (DESIGN.md §15): the committed
-// plan and collected pairs are bit-identical across thread counts — the
-// dispatch shape is a pure throughput knob, never a tie-breaker.
+// Rank-order scoring determinism properties (DESIGN.md §15): the committed
+// plan and collected pairs are bit-identical across thread counts — which
+// thread claims which rank is a pure throughput matter, never a
+// tie-breaker.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -82,8 +83,8 @@ TEST(BlockScoring, PlanIdenticalOnNonIdentityFunnelWorkloads) {
 }
 
 // First-improvement search commits the lowest-ranked improving candidate;
-// the chunked scan must find the same winner no matter how the thread
-// count cuts the chunks.
+// the threads stop claiming ranks above the lowest improving one found so
+// far, and must reach the same winner whatever the thread count.
 TEST(BlockScoring, FirstImprovementWinnerInvariantToChunking) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const std::size_t n = 20 + static_cast<std::size_t>(seed % 5) * 4;

@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/sorted_vector.h"
+#include "common/thread_pool.h"
 #include "partition/augmentation.h"
 #include "planner/planner.h"
 #include "planner/tree_build_cache.h"
@@ -281,6 +283,88 @@ TEST(TreeBuildCache, InvalidateAttrsEvictsOnlyIntersectingEntries) {
   EXPECT_EQ(cache.hits(), 1u);
   cache.items_template({1, 4}, pairs);  // evicted: computed afresh
   EXPECT_EQ(cache.misses(), 3u);
+}
+
+// The template's definition: the members are nodes_with_any(attrs), each
+// row holds one contains() probe per attribute, and `offered` is the sum
+// of the rows. Computed here from that definition, never from the cache.
+TreeBuildCache::ItemsTemplate reference_template(const std::vector<AttrId>& attrs,
+                                                 const PairSet& pairs) {
+  TreeBuildCache::ItemsTemplate t;
+  t.nodes = pairs.nodes_with_any(attrs);
+  for (NodeId n : t.nodes)
+    for (AttrId a : attrs) {
+      t.local.push_back(pairs.contains(n, a) ? 1u : 0u);
+      t.offered += t.local.back();
+    }
+  return t;
+}
+
+TEST(TreeBuildCache, TemplateMatchesItsDefinitionOnRandomPairSets) {
+  constexpr AttrId kAlias = 1u << 20;  // MonitoringSystemOptions::first_alias_id
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng{seed};
+    const std::size_t vertices = 2 + rng.below(40);
+    // Low ids and alias-range ids; about a third of the nodes monitor
+    // nothing, and every third attribute of the pool is never monitored.
+    std::vector<AttrId> pool;
+    for (AttrId a = 0; a < 12; ++a) pool.push_back(a % 2 == 0 ? a : kAlias + a);
+    PairSet pairs(vertices);
+    for (NodeId n = 0; n < vertices; ++n) {
+      if (rng.below(3) == 0) continue;
+      for (std::size_t k = 0; k < pool.size(); ++k)
+        if (k % 3 != 2 && rng.below(2) == 0) pairs.add(n, pool[k]);
+    }
+    const std::vector<AttrId> universe = pairs.attribute_universe();
+    std::vector<std::vector<AttrId>> sets = {universe, pool, {pool[2]}, {kAlias + 99}};
+    if (!universe.empty()) {
+      sets.push_back({universe.front()});
+      sets.push_back({universe.back()});
+    }
+    for (int k = 0; k < 6; ++k) {
+      std::vector<AttrId> set;
+      for (AttrId a : pool)
+        if (rng.below(3) == 0) set.push_back(a);
+      if (set.empty()) set.push_back(pool[rng.below(pool.size())]);
+      sets.push_back(std::move(set));
+    }
+    TreeBuildCache cache;
+    for (std::vector<AttrId>& set : sets) {
+      sort_unique(set);
+      EXPECT_EQ(*cache.items_template(set, pairs), reference_template(set, pairs))
+          << "seed=" << seed << " |attrs|=" << set.size();
+    }
+  }
+}
+
+TEST(TreeBuildCache, ConcurrentMissesOnOneKeyInsertOnce) {
+  // Four threads look up one cold key at once: each may compute the
+  // template outside the lock, but exactly one insert wins, every lookup
+  // returns its pointer, and the losers count hits. The pair set is large
+  // enough that a template takes longer to compute than a pool wake-up.
+  Rng rng{11};
+  PairSet pairs(3001);
+  for (NodeId n = 1; n <= 3000; ++n)
+    for (int k = 0; k < 12; ++k) pairs.add(n, static_cast<AttrId>(rng.below(48)));
+  const std::vector<AttrId> attrs = pairs.attribute_universe();
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kLookups = 8;  // per thread
+  ThreadPool pool(kThreads - 1);
+  for (int round = 0; round < 20; ++round) {
+    TreeBuildCache cache;
+    std::vector<std::vector<const TreeBuildCache::ItemsTemplate*>> seen(kThreads);
+    pool.parallel_for(kThreads, [&](std::size_t t) {
+      for (std::size_t k = 0; k < kLookups; ++k)
+        seen[t].push_back(cache.items_template(attrs, pairs));
+    });
+    const auto* first = seen[0][0];
+    for (const auto& lookups : seen)
+      for (const auto* got : lookups) EXPECT_EQ(got, first) << "round=" << round;
+    EXPECT_EQ(cache.misses(), 1u) << "round=" << round;
+    EXPECT_EQ(cache.hits() + cache.misses(), kThreads * kLookups) << "round=" << round;
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(*first, reference_template(attrs, pairs));
+  }
 }
 
 TEST(TreeBuildCache, ClearEmptiesEntries) {

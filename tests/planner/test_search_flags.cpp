@@ -27,9 +27,6 @@ PlannerOptions base_options() {
   PlannerOptions o;
   o.max_candidates = 8;
   o.max_iterations = 64;
-  // Serial evaluation: first-improvement evaluates candidates in chunks of
-  // num_threads, so evaluation-count comparisons are only exact at 1.
-  o.num_threads = 1;
   return o;
 }
 

@@ -7,7 +7,8 @@
 // the winner.
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "adapt/adaptive_planner.h"
@@ -78,8 +79,6 @@ std::vector<Replan> replay(const SystemModel& system, const ChurnSequence& seq,
   return out;
 }
 
-bool bit_equal(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
-
 TEST(AdaptiveThreadInvariance, DeltaReplansIdenticalAcrossThreadCounts) {
   const SystemModel system = make_system();
   const ChurnSequence seq = record_churn(system, 23);
@@ -107,7 +106,9 @@ TEST(AdaptiveThreadInvariance, DeltaReplansIdenticalAcrossThreadCounts) {
         SCOPED_TRACE(testing::Message() << to_string(scheme) << " threads=" << threads
                                         << " replan=" << k);
         EXPECT_EQ(r.edges, want.edges);
-        EXPECT_TRUE(bit_equal(r.cost, want.cost)) << r.cost << " vs " << want.cost;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(r.cost),
+                  std::bit_cast<std::uint64_t>(want.cost))
+            << r.cost << " vs " << want.cost;
         EXPECT_EQ(r.adaptation_messages, want.adaptation_messages);
         EXPECT_EQ(r.operations_applied, want.operations_applied);
         EXPECT_EQ(r.operations_throttled, want.operations_throttled);

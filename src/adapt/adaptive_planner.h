@@ -77,6 +77,9 @@ class AdaptivePlanner {
 
   const Topology& topology() const noexcept { return topology_; }
   AdaptScheme scheme() const noexcept { return scheme_; }
+  /// The options the planner was built with (its spec table and conflicts
+  /// cannot change afterwards).
+  const PlannerOptions& options() const noexcept { return planner_.options(); }
   const PairSet& pairs() const noexcept { return pairs_; }
 
   /// Initial full plan (all schemes plan identically at t = `now`).

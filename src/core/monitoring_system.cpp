@@ -76,8 +76,7 @@ TaskId MonitoringSystem::add_task(MonitoringTask task) {
   if (delta_eligible(task)) {
     // Fast path: the rewriter would pass this task through unchanged, so
     // feed it straight to the live manager and remember the exact pair
-    // delta. ensure_planned re-checks the constraint signature before
-    // trusting it.
+    // delta. ensure_planned re-checks the spec table before trusting it.
     internal_id_of_[id] = manager_.add_task(task, &pending_delta_);
     delta_dirty_ = true;
   } else {
@@ -127,7 +126,7 @@ bool MonitoringSystem::modify_task(MonitoringTask task) {
   return true;
 }
 
-MonitoringSystem::RewriteState MonitoringSystem::rebuild_internal_tasks() {
+PlannerOptions MonitoringSystem::rebuild_internal_tasks() {
   // Rewrite the user tasks (reliability expansion) into the internal
   // manager and derive the planner's per-attribute specs.
   std::vector<MonitoringTask> raw;
@@ -157,29 +156,23 @@ MonitoringSystem::RewriteState MonitoringSystem::rebuild_internal_tasks() {
       internal_id_of_[user_id] = internal_id;
   }
 
-  RewriteState state;
-  state.planner_options = options_.planner;
-  state.planner_options.conflicts = rewritten.conflicts;
-  state.planner_options.attr_specs = derive_attr_specs(
+  PlannerOptions planner_options = options_.planner;
+  planner_options.conflicts = rewritten.conflicts;
+  planner_options.attr_specs = derive_attr_specs(
       manager_, options_.aggregation_aware, options_.frequency_aware);
-  constraint_conflicts_ = rewritten.conflicts.size();
-  state.signature = constraint_signature_of(state.planner_options.attr_specs,
-                                            constraint_conflicts_);
-  return state;
+  return planner_options;
 }
 
-// Constraint signature: when it changes the adaptive planner must be
-// rebuilt (it has no API for evolving conflicts/specs); otherwise task
-// churn flows through the cheap apply_update / apply_delta paths.
 std::string MonitoringSystem::constraint_signature_of(
-    const AttrSpecTable& specs, std::size_t num_conflicts) const {
+    const PlannerOptions& planner_options) const {
   std::size_t funnels = 0, weights = 0;
   for (AttrId a : manager_.dedup(system_.num_vertices()).attribute_universe()) {
-    if (specs.funnel(a).type() != AggType::kHolistic) ++funnels;
-    if (specs.weight(a) < 1.0) ++weights;
+    if (planner_options.attr_specs.funnel(a).type() != AggType::kHolistic)
+      ++funnels;
+    if (planner_options.attr_specs.weight(a) < 1.0) ++weights;
   }
-  return std::to_string(num_conflicts) + ":" + std::to_string(funnels) + ":" +
-         std::to_string(weights);
+  return std::to_string(planner_options.conflicts.size()) + ":" +
+         std::to_string(funnels) + ":" + std::to_string(weights);
 }
 
 void MonitoringSystem::ensure_planned(double now) {
@@ -188,15 +181,14 @@ void MonitoringSystem::ensure_planned(double now) {
 
   if (!dirty_ && planner_.has_value()) {
     // Delta fast path: the manager already holds the mutated tasks and
-    // pending_delta_ is their exact dedup-pair delta. Re-derive the
-    // constraint signature from the live manager (conflicts are stable —
-    // only SSDP/DSDP rewriting creates them, and those tasks force the
-    // slow path); when unchanged, the planner's options are still valid
+    // pending_delta_ is their exact dedup-pair delta. Re-derive the spec
+    // table from the live manager (conflicts are stable — only SSDP/DSDP
+    // rewriting creates them, and those tasks force the slow path); when
+    // it equals the live planner's, the planner's options are still valid
     // and the delta replan is bit-identical to the full-diff apply_update.
-    const AttrSpecTable specs = derive_attr_specs(
-        manager_, options_.aggregation_aware, options_.frequency_aware);
-    if (constraint_signature_of(specs, constraint_conflicts_) ==
-        constraint_signature_) {
+    if (derive_attr_specs(manager_, options_.aggregation_aware,
+                          options_.frequency_aware) ==
+        planner_->options().attr_specs) {
       TaskDelta pending = std::move(pending_delta_);
       pending_delta_ = TaskDelta{};
       delta_dirty_ = false;
@@ -226,22 +218,24 @@ void MonitoringSystem::ensure_planned(double now) {
           " live pairs, ", planned_around_.size(), " suspects planned around)");
       return;
     }
-    // Signature changed (e.g. churn created/destroyed a funnel or weight
-    // class): fall through to the full rebuild, exactly like the historic
-    // path would have.
+    // Churn changed an attribute's funnel or weight: the planner's options
+    // are stale, so fall through to the full rebuild.
     dirty_ = true;
   }
 
   pending_delta_ = TaskDelta{};
   delta_dirty_ = false;
-  RewriteState state = rebuild_internal_tasks();
+  PlannerOptions planner_options = rebuild_internal_tasks();
   const PairSet pairs = manager_.dedup(system_.num_vertices());
 
-  if (!planner_.has_value() || state.signature != constraint_signature_) {
-    // First plan, or the constraint set changed shape: full (re)build.
+  // First plan, or the specs or conflicts changed: the adaptive planner
+  // has no API for evolving them, so it is rebuilt.
+  if (!planner_.has_value() ||
+      planner_options.attr_specs != planner_->options().attr_specs ||
+      planner_options.conflicts != planner_->options().conflicts) {
     const Topology previous =
         planner_.has_value() ? planner_->topology() : Topology{};
-    planner_.emplace(refresh_planning_system(), state.planner_options,
+    planner_.emplace(refresh_planning_system(), std::move(planner_options),
                      options_.adaptation);
     plan_from_scratch(pairs, now);
     if (!previous.entries().empty()) {
@@ -251,7 +245,6 @@ void MonitoringSystem::ensure_planned(double now) {
         adaptation_messages_ += moved;
       }
     }
-    constraint_signature_ = state.signature;
   } else {
     // The suspects planned around stay out, as on the delta path.
     const auto report = planner_->apply_update(without_planned_around(pairs), now);
@@ -271,7 +264,6 @@ const Topology& MonitoringSystem::topology(double now) {
 void MonitoringSystem::replan(double now) {
   dirty_ = true;
   planner_.reset();
-  constraint_signature_.clear();
   ensure_planned(now);
 }
 
@@ -450,7 +442,7 @@ MonitoringSystem::PlannerState MonitoringSystem::planner_state(double now) {
   state.topology = planner_->topology();
   state.adjustment_stamps = planner_->adjustment_stamps();
   state.init_time = planner_->init_time();
-  state.constraint_signature = constraint_signature_;
+  state.constraint_signature = constraint_signature_of(planner_->options());
   return state;
 }
 
@@ -466,7 +458,6 @@ void MonitoringSystem::restore_tasks(std::map<TaskId, MonitoringTask> tasks,
   next_id_ = next_id;
   internal_id_of_.clear();
   planner_.reset();
-  constraint_signature_.clear();
   pending_delta_ = TaskDelta{};
   delta_dirty_ = false;
   dirty_ = true;
@@ -474,18 +465,18 @@ void MonitoringSystem::restore_tasks(std::map<TaskId, MonitoringTask> tasks,
 }
 
 void MonitoringSystem::restore_planner(PlannerState state) {
-  RewriteState rebuilt = rebuild_internal_tasks();
-  REMO_ASSERT(rebuilt.signature == state.constraint_signature,
-              "restored constraint signature drifted: rebuilt '",
-              rebuilt.signature, "' vs captured '", state.constraint_signature,
+  PlannerOptions rebuilt = rebuild_internal_tasks();
+  const std::string signature = constraint_signature_of(rebuilt);
+  REMO_ASSERT(signature == state.constraint_signature,
+              "restored constraint signature drifted: rebuilt '", signature,
+              "' vs captured '", state.constraint_signature,
               "' — the snapshot's task set does not produce its plan");
   PairSet pairs = manager_.dedup(system_.num_vertices());
-  planner_.emplace(refresh_planning_system(), rebuilt.planner_options,
+  planner_.emplace(refresh_planning_system(), std::move(rebuilt),
                    options_.adaptation);
   planner_->restore(std::move(pairs), std::move(state.topology),
                     std::move(state.adjustment_stamps), state.init_time);
   planned_around_.clear();
-  constraint_signature_ = rebuilt.signature;
   pending_delta_ = TaskDelta{};
   delta_dirty_ = false;
   dirty_ = false;

@@ -13,11 +13,12 @@
 // Churn fast path (DESIGN.md §13): mutations that cannot change the
 // rewritten task shape (reliability = kNone) are applied to the live
 // internal manager immediately and accumulated as an exact TaskDelta; the
-// next read re-derives only the constraint signature and, when it is
-// unchanged, replans through AdaptivePlanner::apply_delta — O(|delta|)
-// bookkeeping instead of rebuilding the manager and diffing full pair
-// sets, bit-identical to the historic path by construction. A signature
-// change (or any SSDP/DSDP mutation) falls back to the full rebuild.
+// next read re-derives only the attribute spec table and, when it equals
+// the live planner's, replans through AdaptivePlanner::apply_delta —
+// O(|delta|) bookkeeping instead of rebuilding the manager and diffing
+// full pair sets, bit-identical to the historic path by construction. A
+// funnel or weight change (or any SSDP/DSDP mutation) falls back to the
+// full rebuild.
 #pragma once
 
 #include <functional>
@@ -232,18 +233,15 @@ class MonitoringSystem {
   const TaskManager& tasks() const noexcept { return manager_; }
 
  private:
-  struct RewriteState {
-    PlannerOptions planner_options;
-    std::string signature;
-  };
-
   void ensure_planned(double now);
-  RewriteState rebuild_internal_tasks();
-  /// "conflicts:funnels:weights" over the current manager + spec table —
-  /// when it changes the adaptive planner must be rebuilt (see
-  /// rebuild_internal_tasks); shared by the full and delta plan paths.
-  std::string constraint_signature_of(const AttrSpecTable& specs,
-                                      std::size_t num_conflicts) const;
+  /// Rewrites the user tasks into a fresh internal manager and returns the
+  /// planner options for it: the configured ones plus the rewrite's
+  /// conflicts and the derived attribute specs.
+  PlannerOptions rebuild_internal_tasks();
+  /// "conflicts:funnels:weights", counted over the current manager's
+  /// attributes under `planner_options`: the snapshot's consistency field
+  /// (a restore must rebuild the same string from the restored tasks).
+  std::string constraint_signature_of(const PlannerOptions& planner_options) const;
   /// True when a mutation may ride the incremental delta path: the
   /// planner is live, no full rebuild is already pending, and the task
   /// passes through the reliability rewriter as an identity.
@@ -256,11 +254,11 @@ class MonitoringSystem {
   /// when the recovery loop is on (repair itself uses the real model).
   SystemModel& refresh_planning_system();
   /// The one way to plan from scratch while suspects may exist (the first
-  /// plan, a constraint-signature rebuild, replan(), the post-outage
-  /// replan): records the current suspects in planned_around_, initializes
-  /// the planner on `pairs` without their pairs, parks them back as probe
-  /// leaves and adopts the result — a still-down node is never drafted as
-  /// a relay.
+  /// plan, a rebuild after a spec or conflict change, replan(), the
+  /// post-outage replan): records the current suspects in
+  /// planned_around_, initializes the planner on `pairs` without their
+  /// pairs, parks them back as probe leaves and adopts the result — a
+  /// still-down node is never drafted as a relay.
   void plan_from_scratch(const PairSet& pairs, double now);
   /// Post-outage re-optimization: plan_from_scratch plus the outage
   /// accounting. Returns true if links changed.
@@ -284,11 +282,6 @@ class MonitoringSystem {
   /// path mutates in place. Rebuilt by rebuild_internal_tasks.
   std::map<TaskId, TaskId> internal_id_of_;
   std::optional<AdaptivePlanner> planner_;
-  std::string constraint_signature_;
-  /// Conflict-constraint count behind constraint_signature_ (conflicts
-  /// only come from SSDP/DSDP rewriting, which the delta path never
-  /// touches, so the count is stable between full rebuilds).
-  std::size_t constraint_conflicts_ = 0;
   bool dirty_ = true;
   /// Exact pending churn accumulated by the fast path since the last
   /// plan; meaningful only while delta_dirty_ (discarded on full rebuild,

@@ -77,6 +77,7 @@ class ConflictConstraints {
   bool satisfied_by(const Partition& p) const;
   bool empty() const noexcept { return pairs_.empty(); }
   std::size_t size() const noexcept { return pairs_.size(); }
+  bool operator==(const ConflictConstraints&) const = default;
 
  private:
   // Stored as (min, max) pairs, sorted.

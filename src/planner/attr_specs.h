@@ -35,6 +35,9 @@ class AttrSpecTable {
 
   bool empty() const noexcept { return funnels_.empty() && weights_.empty(); }
 
+  /// Entry-wise equality of the explicitly set funnels and weights.
+  bool operator==(const AttrSpecTable&) const = default;
+
   /// A copy with every funnel forced holistic and every weight forced to
   /// 1.0 — what the *basic* (extension-oblivious) planner sees (Fig. 12a's
   /// baseline).

@@ -54,8 +54,8 @@ struct BuildScratch {
 /// Parent-selection criterion per scheme over `scan`'s item. Returns
 /// kNoNode if no vertex can feasibly accept the item; otherwise the chosen
 /// parent. Blocking vertices encountered during the scan join
-/// `scratch.congested`. The scan answers can_attach in O(1) per candidate
-/// instead of one ancestor walk each (bit-identical booleans and blockers).
+/// `scratch.congested`. The scan answers each candidate with one ancestor
+/// walk, with the item's own checks done once.
 // REMO_HOT: called once per pending item per construction pass.
 NodeId select_parent(const MonitoringTree& tree,
                      const MonitoringTree::AttachScan& scan, TreeScheme scheme,
@@ -416,10 +416,6 @@ TreeBuildResult build_tree(std::vector<TreeAttrSpec> attrs,
   }
 
   for (auto& p : pending) result.rejected.push_back(std::move(p.item));
-  // Renumber arena slots into DFS preorder so ancestor walks against the
-  // finished tree (later can_attach / attach checks) touch monotonically
-  // nearby rows. Pure relayout: node ids, edges and costs are unchanged.
-  result.tree.renumber_dfs();
   return result;
 }
 

@@ -246,42 +246,37 @@ bool MonitoringTree::feasible_walk_scratch(Slot parent, Capacity recv_delta,
     return feasible_walk_identity(parent, recv_delta, dsum, changed, blocker);
   }
   const TreeAttrSpec* specs = attrs_.data();
-  Slot q = parent;
-  while (true) {
-    if (q == kRootSlot) {
-      if (recv_[q] + recv_delta > avail_[q] + kEps) {
-        if (blocker) *blocker = kCollectorId;
-        return false;
+  for (Slot q = parent;; q = parent_[q]) {
+    // New in-counts and the resulting payload change at q (the collector
+    // sends nothing). The payload sum stays scalar-sequential on this
+    // general path: funnel weights make it a float reduction whose
+    // rounding order is part of the bit-identical plan contract.
+    double dy = 0.0;
+    if (q != kRootSlot) {
+      const std::uint32_t* in = in_row(q);
+      double new_y = 0.0;
+      for (std::size_t m = 0; m < n; ++m) {
+        const auto old_in = in[m];
+        const auto new_in = static_cast<std::uint32_t>(
+            static_cast<std::int64_t>(old_in) + walk_delta_[m]);
+        const auto old_out = specs[m].funnel(old_in);
+        const auto new_out = specs[m].funnel(new_in);
+        walk_next_[m] = static_cast<std::int64_t>(new_out) -
+                        static_cast<std::int64_t>(old_out);
+        new_y += specs[m].weight * static_cast<double>(new_out);
       }
-      return true;
+      dy = new_y - y_[q];
     }
-    // New in-counts and the resulting payload change at q. The payload sum
-    // stays scalar-sequential on this general path: funnel weights make it
-    // a float reduction whose rounding order is part of the bit-identical
-    // plan contract.
-    const std::uint32_t* in = in_row(q);
-    double new_y = 0.0;
-    for (std::size_t m = 0; m < n; ++m) {
-      const auto old_in = in[m];
-      const auto new_in = static_cast<std::uint32_t>(
-          static_cast<std::int64_t>(old_in) + walk_delta_[m]);
-      const auto old_out = specs[m].funnel(old_in);
-      const auto new_out = specs[m].funnel(new_in);
-      walk_next_[m] =
-          static_cast<std::int64_t>(new_out) - static_cast<std::int64_t>(old_out);
-      new_y += specs[m].weight * static_cast<double>(new_out);
-    }
-    const double dy = new_y - y_[q];
-    const Capacity use = cost_.per_message + cost_.per_value * y_[q] + recv_[q];
-    if (use + recv_delta + cost_.per_value * dy > avail_[q] + kEps) {
+    const Capacity pvd = cost_.per_value * dy;
+    if (hop_fails(q, recv_delta, pvd)) {
       if (blocker) *blocker = id_[q];
       return false;
     }
+    if (q == kRootSlot) return true;
     const bool changed = simd::any_nonzero_i64(walk_next_.data(), stride_);
     if (!changed && dy == 0.0) return true;  // ancestors unaffected
-    recv_delta = cost_.per_value * dy;
+    recv_delta = pvd;
     walk_delta_.swap(walk_next_);
-    q = parent_[q];
   }
 }
 
@@ -293,26 +288,17 @@ bool MonitoringTree::feasible_walk_scratch(Slot parent, Capacity recv_delta,
 bool MonitoringTree::feasible_walk_identity(Slot parent, Capacity recv_delta,
                                             double dsum, bool changed,
                                             NodeId* blocker) const {
-  Slot q = parent;
-  while (true) {
-    if (q == kRootSlot) {
-      if (recv_[q] + recv_delta > avail_[q] + kEps) {
-        if (blocker) *blocker = kCollectorId;
-        return false;
-      }
-      return true;
-    }
-    const Capacity use = cost_.per_message + cost_.per_value * y_[q] + recv_[q];
-    if (use + recv_delta + cost_.per_value * dsum > avail_[q] + kEps) {
+  const Capacity pvd = cost_.per_value * dsum;
+  for (Slot q = parent;; q = parent_[q]) {
+    if (hop_fails(q, recv_delta, pvd)) {
       if (blocker) *blocker = id_[q];
       return false;
     }
     // dsum can be zero with cancelling nonzero deltas — ancestors' in-rows
     // still change then, and the walk must keep checking (their payloads
     // do not move, but the general path walks on; match it).
-    if (!changed && dsum == 0.0) return true;  // ancestors unaffected
-    recv_delta = cost_.per_value * dsum;
-    q = parent_[q];
+    if (q == kRootSlot || (!changed && dsum == 0.0)) return true;
+    recv_delta = pvd;
   }
 }
 
@@ -409,13 +395,10 @@ MonitoringTree::AttachScan::AttachScan(const MonitoringTree& tree,
     self_fail_ = true;
     return;
   }
-  fast_ = tree.uniform_identity_;  // else queries fall back to the walk
+  fast_ = tree.uniform_identity_;  // else queries fall back to can_attach
+  if (fast_) total_ = simd::sum_u32(item.local.data(), item.local.size());
 }
 
-// Both walk predicates at a member slot q, verbatim from
-// feasible_walk_identity: the parent hop (the child's message joins q) and
-// the ancestor hop (q's message grows by the child's payload). The
-// collector's parent hop reads its receive load only.
 bool MonitoringTree::hop_fails(Slot q, Capacity child_u,
                                Capacity pvd) const noexcept {
   if (q == kRootSlot) return recv_[q] + child_u > avail_[q] + kEps;
@@ -429,58 +412,9 @@ bool MonitoringTree::parent_hop_fails(NodeId v, std::uint64_t total) const {
                    cost_.per_value * dsum);
 }
 
-void MonitoringTree::build_attach_masks(const BuildItem& item,
-                                        Capacity child_u) const {
-  const std::uint64_t total = simd::sum_u32(item.local.data(), attrs_.size());
-  const double dsum = static_cast<double>(total);
-  const bool changed = total != 0;
-  const Capacity pvd = cost_.per_value * dsum;
-  scan_skip_anc_ = !changed && dsum == 0.0;
-
-  const std::size_t slots = id_.size();
-  scan_pfail_.resize(slots);
-  scan_afail_.resize(slots);
-  scan_done_.resize(slots);
-  scan_anc_blocker_.resize(slots);
-
-  // The collector's own parent hop is answered without the masks
-  // (AttachScan::can_attach); only its ancestor hop seeds the chase.
-  scan_anc_blocker_[kRootSlot] =
-      hop_fails(kRootSlot, pvd, pvd) ? kCollectorId : kNoNode;
-  scan_done_[kRootSlot] = 1;
-
-  // One linear pass over the arena: both hop predicates of
-  // feasible_walk_identity, evaluated with its verbatim expressions (this
-  // is what makes every query agree with the walk bit for bit). Free slots
-  // get garbage values from stale loads; they are never queried. The
-  // ancestor hop is the parent hop with the child's message cost replaced
-  // by its payload cost.
-  for (Slot q = 1; q < slots; ++q) {
-    scan_pfail_[q] = hop_fails(q, child_u, pvd);
-    scan_afail_[q] = hop_fails(q, pvd, pvd);
-    scan_done_[q] = 0;
-  }
-
-  // Nearest failing ancestor, memoized up the parent chains (slot order is
-  // not topological after branch moves, so chase and unwind instead of a
-  // single ordered sweep; each slot is resolved exactly once).
-  for (Slot q = 1; q < slots; ++q) {
-    if (id_[q] == kNoNode || scan_done_[q]) continue;
-    Slot w = q;
-    slot_stack_.clear();
-    while (!scan_done_[w]) {
-      slot_stack_.push_back(w);
-      w = parent_[w];
-    }
-    NodeId b = scan_anc_blocker_[w];
-    for (auto it = slot_stack_.rbegin(); it != slot_stack_.rend(); ++it) {
-      if (scan_afail_[*it]) b = id_[*it];
-      scan_anc_blocker_[*it] = b;
-      scan_done_[*it] = 1;
-    }
-  }
-}
-
+// REMO_HOT: one call per candidate parent of a parent scan. The item's own
+// checks were answered at construction; what is left is the walk
+// can_attach would run (feasible_add on the item's out row).
 bool MonitoringTree::AttachScan::can_attach(NodeId parent,
                                             NodeId* blocker) const {
   const MonitoringTree& t = *tree_;
@@ -492,28 +426,9 @@ bool MonitoringTree::AttachScan::can_attach(NodeId parent,
     return false;
   }
   if (!fast_) return t.can_attach(*item_, parent, blocker);
-  const Slot v = t.lookup_[parent];
-  if (v == kRootSlot) {
-    // The collector's parent hop is the whole walk: no masks needed.
-    if (!t.hop_fails(kRootSlot, child_u_, 0.0)) return true;
-    if (blocker) *blocker = kCollectorId;
-    return false;
-  }
-  if (!masks_built_) {
-    t.build_attach_masks(*item_, child_u_);
-    masks_built_ = true;
-  }
-  if (t.scan_pfail_[v]) {
-    if (blocker) *blocker = t.id_[v];
-    return false;
-  }
-  if (t.scan_skip_anc_) return true;
-  const NodeId anc = t.scan_anc_blocker_[t.parent_[v]];
-  if (anc != kNoNode) {
-    if (blocker) *blocker = anc;
-    return false;
-  }
-  return true;
+  return t.feasible_walk_identity(t.lookup_[parent], child_u_,
+                                  static_cast<double>(total_), total_ != 0,
+                                  blocker);
 }
 
 void MonitoringTree::attach(const BuildItem& item, NodeId parent) {
@@ -756,8 +671,7 @@ bool MonitoringTree::can_update_local(
   }
   const double dy = weighted_out(out_scratch_.data()) - y_[s];
   // Only the node's own send cost changes locally; receives are untouched.
-  const Capacity use = cost_.per_message + cost_.per_value * y_[s] + recv_[s];
-  if (use + cost_.per_value * dy > avail_[s] + kEps) return false;
+  if (hop_fails(s, 0.0, cost_.per_value * dy)) return false;
   return feasible_walk_scratch(parent_[s], cost_.per_value * dy, nullptr);
 }
 
@@ -812,67 +726,6 @@ void MonitoringTree::restore_iteration_order(
   }
   bump_generation();
   deep_validate("restore_iteration_order");
-}
-
-void MonitoringTree::renumber_dfs() {
-  REMO_ASSERT(!journal_on_,
-              "renumber_dfs while journaling: the undo log records slot "
-              "numbers and would replay into the wrong rows");
-  const std::size_t live = members_.size() + 1;
-  // Preorder over live slots, visiting children in child-list order (the
-  // deterministic order everything else already iterates).
-  std::vector<Slot> order;
-  order.reserve(live);
-  std::vector<Slot> stack{kRootSlot};
-  while (!stack.empty()) {
-    const Slot s = stack.back();
-    stack.pop_back();
-    order.push_back(s);
-    const auto& kids = children_[s];
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it)
-      stack.push_back(lookup_[*it]);
-  }
-  REMO_ASSERT(order.size() == live, "renumber_dfs: preorder visited ",
-              order.size(), " slots, expected ", live);
-
-  std::vector<Slot> to_new(id_.size(), kNoSlot);
-  for (Slot ns = 0; ns < order.size(); ++ns) to_new[order[ns]] = ns;
-
-  // Gather every per-slot array into preorder; free slots are dropped (the
-  // arena is compact afterwards and the free list starts empty).
-  std::vector<NodeId> nid(live);
-  std::vector<Slot> nparent(live);
-  std::vector<std::uint32_t> ndepth(live);
-  std::vector<Capacity> navail(live);
-  std::vector<double> ny(live), nrecv(live);
-  simd::AlignedVector<std::uint32_t> nin(live * stride_, 0);
-  simd::AlignedVector<std::uint32_t> nlocal(live * stride_, 0);
-  std::vector<std::vector<NodeId>> nchildren(live);
-  for (Slot ns = 0; ns < order.size(); ++ns) {
-    const Slot os = order[ns];
-    nid[ns] = id_[os];
-    nparent[ns] = parent_[os] == kNoSlot ? kNoSlot : to_new[parent_[os]];
-    ndepth[ns] = depth_[os];
-    navail[ns] = avail_[os];
-    ny[ns] = y_[os];
-    nrecv[ns] = recv_[os];
-    std::copy_n(in_row(os), stride_, nin.data() + ns * stride_);
-    std::copy_n(local_row(os), stride_, nlocal.data() + ns * stride_);
-    nchildren[ns] = std::move(children_[os]);
-    lookup_[nid[ns]] = ns;
-  }
-  id_ = std::move(nid);
-  parent_ = std::move(nparent);
-  depth_ = std::move(ndepth);
-  avail_ = std::move(navail);
-  y_ = std::move(ny);
-  recv_ = std::move(nrecv);
-  in_ = std::move(nin);
-  local_ = std::move(nlocal);
-  children_ = std::move(nchildren);
-  free_.clear();
-  bump_generation();
-  deep_validate("renumber_dfs");
 }
 
 // ---- undo journal ---------------------------------------------------------

@@ -161,14 +161,6 @@ class MonitoringTree {
   /// only batches the copies.
   void reserve(std::size_t members);
 
-  /// Renumbers the arena slots into DFS preorder (children in child-list
-  /// order) and drops free slots. Ancestor walks then touch monotonically
-  /// decreasing nearby slots — prefetch-friendly after a build. Purely an
-  /// internal relayout: NodeIds, iteration orders (members()/children())
-  /// and all load state are unchanged, so plans are unaffected. Must not
-  /// be called while journaling (the undo log records slot numbers).
-  void renumber_dfs();
-
   bool contains(NodeId id) const noexcept {
     return id < lookup_.size() && lookup_[id] != kNoSlot;
   }
@@ -252,19 +244,15 @@ class MonitoringTree {
   bool can_attach(const BuildItem& item, NodeId parent,
                   NodeId* blocker = nullptr) const;
 
-  /// Batched attach feasibility for one fixed item (REMO_HOT: the builder's
-  /// parent scan asks can_attach(item, v) for *every* vertex of the tree).
-  /// On uniform-identity trees the walk's per-hop predicates depend on the
-  /// item only through two constants (its message cost and its out total),
-  /// so the scan evaluates them for every slot in one O(slots) pass — the
-  /// per-slot checks use the exact expressions of feasible_walk_identity,
-  /// so each query returns the same boolean and the same blocker, bit for
-  /// bit — and each can_attach() query is then O(1). The pass runs on the
-  /// first query about a member: constructing the scan and asking about
-  /// the collector alone cost O(1). Non-identity trees fall back to the
-  /// per-candidate walk transparently.
-  /// The scan borrows tree scratch: it is invalidated by any mutation of
-  /// the tree and at most one scan per tree may be live at a time.
+  /// Attach feasibility of one fixed item under many candidate parents
+  /// (REMO_HOT: the builder's parent scan asks can_attach(item, v) for
+  /// *every* vertex of the tree). The item's own checks (membership, the
+  /// budget for its own message) and its message cost are computed once;
+  /// each query is then one feasibility walk from the candidate parent,
+  /// so it returns what can_attach returns, blocker included. On
+  /// uniform-identity trees that walk is O(1) per hop on the item's value
+  /// total; other trees fall back to can_attach. The scan is invalidated
+  /// by any mutation of the tree.
   class AttachScan {
    public:
     bool can_attach(NodeId parent, NodeId* blocker = nullptr) const;
@@ -280,8 +268,8 @@ class MonitoringTree {
     const MonitoringTree* tree_;
     const BuildItem* item_;
     Capacity child_u_ = 0;      // the item's message cost C + a·y
-    bool fast_ = false;         // identity masks apply; else walk fallback
-    mutable bool masks_built_ = false;  // on the first member query
+    std::uint64_t total_ = 0;   // its value total (uniform-identity trees)
+    bool fast_ = false;         // identity walk applies; else can_attach
     bool item_member_ = false;  // item.id already in the tree: always false
     bool self_fail_ = false;    // item cannot afford its own message
     std::uint64_t generation_ = 0;  // checked under REMO_DCHECK_ENABLED
@@ -310,8 +298,8 @@ class MonitoringTree {
     if (uniform_identity_) return {total, {}};
     return {total, item.local};
   }
-  /// The parent-hop check an AttachScan of a uniform-identity item with
-  /// value total `total` evaluates at vertex `v`: true iff hanging that
+  /// The first hop of the walk an AttachScan of a uniform-identity item
+  /// with value total `total` runs from vertex `v`: true iff hanging that
   /// item's message under `v` overloads `v` itself (for the collector, its
   /// receive budget). Monotone in `total`. When the check passes at the
   /// collector, the blockers such a scan reports over the members are
@@ -466,17 +454,13 @@ class MonitoringTree {
   bool feasible_add(Slot parent, const std::uint32_t* child_out, double child_u,
                     NodeId* blocker) const;
 
-  /// The parent-hop predicate of feasible_walk_identity at slot `q` for a
-  /// child message of cost `child_u` whose payload costs `pvd` = a·total
-  /// at every hop (the collector's check reads only its receive load). The
-  /// one copy of the expression: the attach masks, the scan's collector
-  /// query and parent_hop_fails() all call it.
+  /// The per-hop capacity check of every feasibility walk: true iff slot
+  /// `q` overloads when its receive load grows by `child_u` and its own
+  /// payload cost by `pvd` (a·dy). The collector sends nothing, so its
+  /// check reads only its receive load and ignores `pvd`. The one copy of
+  /// the check: both walks, parent_hop_fails(), move_branch_ranked's
+  /// own-hop filter and can_update_local() evaluate it.
   bool hop_fails(Slot q, Capacity child_u, Capacity pvd) const noexcept;
-  /// Fills the attach-scan masks for `item` (uniform-identity trees only):
-  /// per-slot parent-hop and ancestor-hop predicate results plus each
-  /// slot's nearest failing ancestor, using the identity walk's verbatim
-  /// expressions so AttachScan queries reproduce the walk bit for bit.
-  void build_attach_masks(const BuildItem& item, Capacity child_u) const;
 
   /// Apply the upward propagation of delta (pre-loaded into `walk_delta_`)
   /// to `parent`'s in-counts plus follow-on payload changes.
@@ -540,18 +524,9 @@ class MonitoringTree {
   mutable simd::AlignedVector<std::int64_t> walk_delta_, walk_next_;
   mutable simd::AlignedVector<std::uint32_t> out_scratch_;
 
-  // Attach-scan masks (AttachScan): per-slot predicate results for one
-  // fixed item. pfail = the parent-hop check fails at this member slot
-  // (the collector's is answered without the masks); afail =
-  // the ancestor-hop check fails; anc_blocker = nearest vertex on the
-  // slot's root path (inclusive) whose ancestor-hop check fails, kNoNode
-  // if the whole chain passes.
-  mutable std::vector<std::uint8_t> scan_pfail_, scan_afail_, scan_done_;
-  mutable std::vector<NodeId> scan_anc_blocker_;
-  // Slot stack shared by the attach-mask chase, move_branch_ranked's root
-  // path and first_fit's depth shift (none is live while another runs).
+  // Slot stack shared by move_branch_ranked's root path and first_fit's
+  // depth shift (neither is live while the other runs).
   mutable std::vector<Slot> slot_stack_;
-  mutable bool scan_skip_anc_ = false;
 
   /// Memoized total_cost(). Copyable atomic pair: trees are copied freely
   /// (topology entries, build-cache hits) but may also be *read* from

@@ -126,6 +126,39 @@ TEST(MonitoringSystem, ReplanForcesFreshPlan) {
   EXPECT_TRUE(ms.topology().validate(ms.system()));
 }
 
+// A modify that moves an attribute's weight without changing how many
+// attributes carry a funnel or a weight must still replan with the new
+// weight, in both directions: every planned tree carries exactly the specs
+// derive_attr_specs gives the current tasks.
+TEST(MonitoringSystem, ModifyThatMovesAWeightReplansWithTheNewSpecs) {
+  MonitoringSystem ms(make_system());
+  MonitoringTask a = task({0}, {1, 2, 3, 4});
+  a.frequency = 1.0;
+  MonitoringTask b = task({1}, {1, 2, 3, 4});
+  b.frequency = 2.0;
+  a.id = ms.add_task(a);
+  ms.add_task(b);
+  (void)ms.topology(0.0);
+  // attr 0's weight: 0.5, then 0.25, then 0.5 again.
+  for (const double frequency : {0.5, 1.0}) {
+    a.frequency = frequency;
+    ASSERT_TRUE(ms.modify_task(a));
+    const Topology& topo = ms.topology(10.0 * frequency);
+    const AttrSpecTable want = derive_attr_specs(ms.tasks(), true, true);
+    ASSERT_DOUBLE_EQ(want.weight(0), frequency / 2.0);
+    std::size_t checked = 0;
+    for (const auto& entry : topo.entries()) {
+      for (const TreeAttrSpec& spec : entry.tree.attr_specs()) {
+        EXPECT_EQ(spec, want.tree_spec(spec.attr))
+            << "attr " << spec.attr << " carries weight " << spec.weight
+            << " after the modify to frequency " << frequency;
+        ++checked;
+      }
+    }
+    EXPECT_EQ(checked, 2u);
+  }
+}
+
 TEST(MonitoringSystem, StatusIsStableWithoutChanges) {
   MonitoringSystem ms(make_system());
   ms.add_task(task({0}, {1, 2, 3}));

@@ -1,11 +1,10 @@
 // Arena layout contract tests (DESIGN.md §15): count rows are padded to
 // simd::kU32Lanes elements and allocated kAlign-aligned, and that contract
-// survives growth reallocation, odd attribute counts (stride not a multiple
-// of the vector width), slot recycling, and the DFS renumbering pass.
+// survives growth reallocation and odd attribute counts (stride not a
+// multiple of the vector width).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/simd.h"
@@ -135,67 +134,6 @@ TEST(ArenaAlignment, UniformIdentityFlagTracksSpecs) {
   auto distinct = identity_specs(4);
   distinct[0].funnel = FunnelSpec{AggType::kDistinct};
   EXPECT_TRUE(MonitoringTree(distinct, 1e9, kCost).uniform_identity());
-}
-
-// Capture everything observable about a tree for exact comparison.
-struct TreeImage {
-  std::vector<NodeId> members;
-  std::map<NodeId, NodeId> parent;
-  std::map<NodeId, std::vector<NodeId>> children;
-  std::map<NodeId, std::size_t> depth;
-  std::map<NodeId, Capacity> usage;
-  std::map<NodeId, std::vector<std::uint32_t>> in, local;
-  std::size_t collected = 0;
-  Capacity cost = 0;
-
-  static TreeImage of(const MonitoringTree& t) {
-    TreeImage img;
-    img.members = t.members();
-    img.children[kCollectorId] = t.children(kCollectorId);
-    img.usage[kCollectorId] = t.usage(kCollectorId);
-    for (NodeId v : t.members()) {
-      img.parent[v] = t.parent(v);
-      img.children[v] = t.children(v);
-      img.depth[v] = t.depth(v);
-      img.usage[v] = t.usage(v);
-      img.in[v].assign(t.in_counts(v).begin(), t.in_counts(v).end());
-      img.local[v].assign(t.local_counts(v).begin(), t.local_counts(v).end());
-    }
-    img.collected = t.collected_pairs();
-    img.cost = t.total_cost();
-    return img;
-  }
-
-  bool operator==(const TreeImage&) const = default;
-};
-
-// renumber_dfs is a pure relayout: every externally observable quantity is
-// unchanged, including after slot recycling left holes in the arena.
-TEST(ArenaAlignment, RenumberDfsPreservesObservableState) {
-  const std::size_t n = 5;
-  MonitoringTree tree(identity_specs(n), 1e9, kCost);
-  std::vector<std::uint32_t> local(n, 1);
-  for (NodeId v = 1; v <= 60; ++v) {
-    const NodeId parent = v <= 5 ? kCollectorId : static_cast<NodeId>(v / 5);
-    ASSERT_TRUE(tree.try_attach(BuildItem{v, local, 1e9}, parent));
-  }
-  // Punch holes: drop a mid-tree branch, then attach fresh nodes into the
-  // recycled slots so live rows sit scattered across the arena.
-  (void)tree.detach_branch(5);
-  for (NodeId v = 100; v <= 104; ++v)
-    ASSERT_TRUE(tree.try_attach(BuildItem{v, local, 1e9}, 3));
-
-  const TreeImage before = TreeImage::of(tree);
-  tree.renumber_dfs();
-  EXPECT_EQ(TreeImage::of(tree), before);
-  // Rows remain aligned after the compaction copy.
-  for (NodeId v : tree.members())
-    EXPECT_TRUE(aligned(tree.in_counts(v).data()));
-  // The tree stays fully functional: more growth after renumbering.
-  for (NodeId v = 200; v <= 240; ++v)
-    ASSERT_TRUE(tree.try_attach(BuildItem{v, local, 1e9}, kCollectorId));
-  tree.renumber_dfs();
-  EXPECT_EQ(tree.size(), before.members.size() + 41);
 }
 
 }  // namespace
